@@ -71,9 +71,7 @@ MIN_SPEEDUP = 2.0
 SWEEP_SPEC = SweepSpec(models=("MLP", "GCN"), datasets=("texas", "cornell"))
 
 SERVE_DATASET = "ogbn-arxiv"
-SERVE_CONFIG = ServeConfig(
-    max_batch_size=1, max_wait_ms=0.0, cache_logits=False, compile="eager"
-)
+SERVE_CONFIG = ServeConfig(max_batch_size=1, max_wait_ms=0.0, cache_logits=False)
 
 
 def _quick_spec() -> SweepSpec:

@@ -116,7 +116,7 @@ def _time_paths(graph, model, cache, delta, rounds: int) -> dict:
 
 def _serving_phase(graph, model, cache, duration: float, clients: int) -> dict:
     """Concurrent clients + a delta writer through router.update_shard."""
-    router = ShardRouter(max_wait_ms=0.5, compile="eager")
+    router = ShardRouter(max_wait_ms=0.5)
     # Seed the operator cache so the phase measures steady-state churn,
     # not one cold full preprocess paid by whichever request arrives first.
     shard = router.add_shard(model, graph, preprocess_cache=cache)

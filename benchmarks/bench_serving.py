@@ -1,25 +1,22 @@
-"""Serving-layer benchmark: cold, cache-miss, compiled and memoised latency.
+"""Serving-layer benchmark: cold, cache-miss and memoised latency.
 
 The decoupled complexity argument (paper Sec. IV-D) becomes a serving
-argument once :mod:`repro.serving` caches the preprocess output, the
-frozen-weight logits and — since the traced-kernel compiler — the whole
-forward as a grad-free numpy program.  This benchmark exports a trained
-ADPA on the largest synthetic dataset, then measures each serving path
-separately instead of conflating them:
+argument once :mod:`repro.serving` caches the preprocess output and the
+frozen-weight logits.  This benchmark exports a trained ADPA on the
+largest synthetic dataset, then measures each serving path separately
+instead of conflating them:
 
 * **cold**: restore the artifact in-process and run preprocess + forward;
 * **eager miss**: a single request with the logit cache off — every request
-  pays a full autograd forward (the true cache-miss latency);
-* **compiled miss**: the same cache-miss request answered by replaying the
-  traced program (``compile="trace"``), no Tensor or tape constructed;
-* **memoised**: a single request with the logit cache hot (the old "warm"
-  number — a dictionary hit plus a fan-out slice, not a forward);
+  pays a full forward, run with the autograd tape off (the true cache-miss
+  latency);
+* **memoised**: a single request with the logit cache hot (a dictionary
+  hit plus a fan-out slice, not a forward);
 * **micro-batch**: per-request amortised latency when concurrent clients
   are coalesced into shared batches.
 
-Acceptance: the compiled cache-miss forward is at least 5x faster than the
-warm eager cache-miss forward, memoised inference is at least 5x faster
-than cold, and every served path matches the cold logits bit-exactly.
+Acceptance: memoised inference is at least 5x faster than cold, and every
+served path matches the cold logits bit-exactly.
 """
 
 from __future__ import annotations
@@ -58,24 +55,15 @@ def smallest_dataset() -> str:
 
 def _time_single_requests(server: InferenceServer, node_ids, rounds: int) -> float:
     """Mean seconds per single request against a running server."""
-    server.predict(node_ids=node_ids)  # untimed: settle caches / compile
+    server.predict(node_ids=node_ids)  # untimed: settle caches
     start = time.perf_counter()
     for _ in range(rounds):
         server.predict(node_ids=node_ids)
     return (time.perf_counter() - start) / rounds
 
 
-def build_serving_profile(
-    quick: bool = False,
-    compiled: bool = True,
-    trace_dir: str | None = None,
-) -> dict:
-    """Measure the serving profile; ``quick`` shrinks it to a CI smoke test.
-
-    ``compiled=False`` skips the traced-program measurement (the
-    ``--no-compile`` escape hatch); ``trace_dir`` spills the compiled
-    programs to disk afterwards so CI can archive them.
-    """
+def build_serving_profile(quick: bool = False) -> dict:
+    """Measure the serving profile; ``quick`` shrinks it to a CI smoke test."""
     dataset = smallest_dataset() if quick else largest_dataset()
     miss_rounds = 3 if quick else MISS_ROUNDS
     warm_rounds = 5 if quick else WARM_ROUNDS
@@ -96,33 +84,15 @@ def build_serving_profile(
         cold_seconds = time.perf_counter() - start
 
         # Cache-miss single requests: logit cache off, no coalescing window,
-        # so every request pays one full forward.  The eager and compiled
-        # servers differ only in the compile mode.
-        miss_kwargs = dict(max_wait_ms=0.0, cache_logits=False)
+        # so every request pays one full forward.
         eager_server, _ = InferenceServer.from_artifact(
-            directory, compile="eager", **miss_kwargs
+            directory, max_wait_ms=0.0, cache_logits=False
         )
         with eager_server:
             eager_miss_seconds = _time_single_requests(eager_server, ids, miss_rounds)
-
-        compiled_miss_seconds = None
-        trace_snapshot = None
-        if compiled:
-            compiled_server, _ = InferenceServer.from_artifact(
-                directory, compile="trace", **miss_kwargs
-            )
-            with compiled_server:
-                compiled_miss_seconds = _time_single_requests(
-                    compiled_server, ids, miss_rounds
-                )
-                compiled_full = compiled_server.submit()
-                compiled_full.result(timeout=120)
-                compiled_logits = compiled_full.logits
-            trace_snapshot = compiled_server.trace_cache.snapshot()
-            if trace_dir is not None:
-                compiled_server.trace_cache.spill(trace_dir)
-        else:
-            compiled_logits = cold_logits
+            eager_full = eager_server.submit()
+            eager_full.result(timeout=120)
+            eager_logits = eager_full.logits
 
         # Memoised path + micro-batching on a default (logit-caching) server.
         server, _ = InferenceServer.from_artifact(directory, max_wait_ms=0.5)
@@ -151,44 +121,30 @@ def build_serving_profile(
         "nodes": graph.num_nodes,
         "model": MODEL,
         "quick": quick,
-        "compiled": compiled,
         "cold_ms": 1e3 * cold_seconds,
         "eager_miss_ms": 1e3 * eager_miss_seconds,
-        "compiled_miss_ms": (
-            None if compiled_miss_seconds is None else 1e3 * compiled_miss_seconds
-        ),
         "memoised_ms": 1e3 * memoised_seconds,
         "batched_ms": 1e3 * batched_seconds,
-        "compile_speedup": (
-            None
-            if compiled_miss_seconds is None
-            else eager_miss_seconds / compiled_miss_seconds
-        ),
         "memoised_speedup": cold_seconds / memoised_seconds,
         "batched_speedup": cold_seconds / batched_seconds,
-        "trace": trace_snapshot,
         "requests": stats.requests,
         "forwards": stats.forwards,
         "mean_batch_size": stats.mean_batch_size,
         "exact": bool(np.array_equal(served, cold_logits.argmax(axis=1))),
-        "compiled_exact": bool(np.array_equal(compiled_logits, cold_logits)),
+        "eager_exact": bool(np.array_equal(eager_logits, cold_logits)),
     }
 
 
 def check_serving_profile(profile: dict) -> None:
-    # Served predictions must reproduce the cold in-process logits exactly —
-    # and the compiled replay must be bit-identical, not merely close.
+    # Served predictions must reproduce the cold in-process logits exactly,
+    # and a served cache-miss forward must be bit-identical, not merely close.
     assert profile["exact"]
-    assert profile["compiled_exact"]
+    assert profile["eager_exact"]
     # Wall-clock ratios on the quick (CI smoke) graph are scheduler noise —
     # its eager forward is already sub-millisecond — so quick mode checks
     # correctness and coalescing only.
     if not profile.get("quick"):
-        # The tentpole acceptance: compiled cache-miss forward >= 5x faster
-        # than the warm eager path.
-        if profile["compiled"]:
-            assert profile["compile_speedup"] >= 5.0, profile
-        # The logit cache's original claim: memoised >= 5x faster than cold.
+        # The logit cache's claim: memoised >= 5x faster than cold.
         assert profile["memoised_speedup"] >= 5.0, profile
         assert profile["batched_speedup"] >= 5.0, profile
     # Micro-batching actually coalesced: far fewer forwards than requests.
@@ -198,30 +154,18 @@ def check_serving_profile(profile: dict) -> None:
 def format_serving_table(profile: dict) -> str:
     rows = [
         ("cold load + preprocess + forward", profile["cold_ms"], profile["cold_ms"]),
-        # Cache-miss requests compare against the eager miss, not cold: the
-        # interesting ratio is forward vs replayed forward.
-        ("eager cache-miss request", profile["eager_miss_ms"], profile["eager_miss_ms"]),
-        ("compiled cache-miss request", profile["compiled_miss_ms"], profile["eager_miss_ms"]),
+        ("eager cache-miss request", profile["eager_miss_ms"], profile["cold_ms"]),
         ("memoised single request", profile["memoised_ms"], profile["cold_ms"]),
         ("micro-batched per request", profile["batched_ms"], profile["cold_ms"]),
     ]
     lines = [f"{'path':<34s}{'latency ms':>12s}{'speedup':>10s}"]
     for label, value, baseline in rows:
-        if value is None:
-            lines.append(f"{label:<34s}{'skipped':>12s}{'-':>10s}")
-            continue
         speedup = baseline / value if value else float("inf")
         lines.append(f"{label:<34s}{value:>12.3f}{speedup:>9.1f}x")
     lines.append(
         f"{profile['requests']} requests -> {profile['forwards']} forwards "
         f"(mean batch {profile['mean_batch_size']:.1f})"
     )
-    if profile.get("trace"):
-        trace = profile["trace"]
-        lines.append(
-            f"trace cache: {trace['compiles']} compile(s), {trace['hits']} hits, "
-            f"{trace['fallbacks']} fallbacks"
-        )
     return "\n".join(lines)
 
 
@@ -244,18 +188,8 @@ if __name__ == "__main__":
         "--quick", action="store_true",
         help="CI smoke mode: smallest dataset, fewer rounds, no JSON emission",
     )
-    parser.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=True,
-        help="measure the traced-program cache-miss path (--no-compile skips it)",
-    )
-    parser.add_argument(
-        "--trace-dir", default=None,
-        help="spill the compiled trace cache to this directory after the run",
-    )
     cli_args = parser.parse_args()
-    result = build_serving_profile(
-        quick=cli_args.quick, compiled=cli_args.compile, trace_dir=cli_args.trace_dir
-    )
+    result = build_serving_profile(quick=cli_args.quick)
     print(format_serving_table(result))
     if not cli_args.quick:
         # Quick numbers are not representative; keep the committed JSON

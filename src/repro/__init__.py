@@ -12,10 +12,6 @@ Public API highlights
 * :mod:`repro.api` — **the** public facade: :class:`repro.api.Session`
   with typed handles and frozen configs (load → amud → fit → serve).
 * :mod:`repro.serving` — artifacts, caches, inference engine, shard router.
-
-The deprecated ``AmudPipeline`` predecessor has been removed; importing
-``repro.pipeline`` (or ``repro.AmudPipeline``) raises with a pointer to
-:class:`repro.api.Session`, which reads its old artifacts unchanged.
 """
 
 from . import adpa, amud, analysis, api, datasets, graph, metrics, models, nn, training
@@ -25,17 +21,6 @@ from .api import AmudConfig, GraphHandle, ModelHandle, ServeConfig, Session, Tra
 from .datasets import load_dataset
 from .graph import DirectedGraph
 from .training import Trainer
-
-
-def __getattr__(name: str):
-    if name in ("AmudPipeline", "PipelineResult"):
-        # A loud, import-time pointer for call sites that predate the
-        # repro.api facade; repro.pipeline raises the full message.
-        raise ImportError(
-            f"repro.{name} has been removed; use repro.api.Session instead "
-            "(Session().load(name).amud().fit() / handle.save / Session().restore)"
-        )
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 __version__ = "1.1.0"
 

@@ -195,25 +195,14 @@ class ServeConfig:
     max_pending: Optional[int] = None
     #: cap on in-flight requests across all shards of one router.
     router_max_pending: int = 256
-    #: compiled-trace policy for cache-miss forwards (see
-    #: :mod:`repro.serving.trace`): ``"auto"`` compiles with remembered
-    #: eager fallback on failure, ``"trace"`` retries every miss,
-    #: ``"eager"`` disables compilation entirely.
-    compile: str = "auto"
     #: optional HTTP front-door settings; ``Session.serve_http`` uses the
     #: defaults when this is ``None``.
     http: Optional[HttpConfig] = None
 
     def __post_init__(self) -> None:
-        from ..serving.trace import COMPILE_MODES
-
         if self.http is not None and not isinstance(self.http, HttpConfig):
             raise TypeError(
                 f"http must be an HttpConfig or None, got {type(self.http).__name__}"
-            )
-        if self.compile not in COMPILE_MODES:
-            raise ValueError(
-                f"unknown compile mode {self.compile!r}; expected one of {COMPILE_MODES}"
             )
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
@@ -236,7 +225,6 @@ class ServeConfig:
             "cache_logits": self.cache_logits,
             "logit_cache_capacity": self.logit_cache_capacity,
             "max_pending": self.max_pending,
-            "compile": self.compile,
         }
 
     def router_kwargs(self) -> Dict[str, object]:
@@ -248,7 +236,6 @@ class ServeConfig:
             "cache_logits": self.cache_logits,
             "logit_cache_capacity": self.logit_cache_capacity,
             "engine_max_pending": self.max_pending,
-            "compile": self.compile,
         }
 
     def replace(self, **changes) -> "ServeConfig":

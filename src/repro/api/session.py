@@ -41,7 +41,6 @@ from ..serving.artifacts import ModelArtifact, restore_model, save_model
 from ..serving.engine import InferenceServer
 from ..serving.http import HttpServer
 from ..serving.router import ShardRouter
-from ..serving.trace import TracedProgram, compile_forward
 from ..training.trainer import Trainer, TrainResult
 from .config import (
     AmudConfig,
@@ -209,21 +208,16 @@ class Session:
         """Build a :class:`ShardRouter` over handles and/or artifact dirs.
 
         The router is returned un-started; use it as a context manager (or
-        call ``start()``/``stop()``).  All shards share one operator cache,
-        one weights-versioned logit cache and — unless
-        ``config.compile == "eager"`` — one compiled-trace cache.
-        ``cache_dir`` warms the operator cache from an on-disk spill
-        directory *before* the artifacts load, so their preprocessing is
-        skipped on a hit (see :meth:`repro.serving.OperatorCache.warm`);
-        compiled programs spilled under ``<cache_dir>/traces`` are warmed
-        into the trace cache the same way.
+        call ``start()``/``stop()``).  All shards share one operator cache
+        and one weights-versioned logit cache.  ``cache_dir`` warms both
+        from a :meth:`repro.serving.ShardRouter.spill` directory *before*
+        the artifacts load, so a hit skips their preprocessing and, on the
+        first request, their forward.
         """
         config = config if config is not None else self.serve_config
         router = ShardRouter(**config.router_kwargs())
         if cache_dir is not None:
-            router.operator_cache.warm(cache_dir)
-            if router.trace_cache is not None:
-                router.trace_cache.warm(Path(cache_dir) / "traces")
+            router.warm(cache_dir)
         for source in sources:
             if isinstance(source, ModelHandle):
                 router.add_shard(
@@ -507,22 +501,6 @@ class ModelHandle:
     # ------------------------------------------------------------------ #
     # Serving
     # ------------------------------------------------------------------ #
-    def compile(self, fold: str = "all") -> TracedProgram:
-        """Trace one eager forward into a grad-free replayable program.
-
-        Records the model's forward on the bound graph and returns the
-        compiled :class:`repro.serving.TracedProgram` — validated
-        bit-identical against the eager logits at compile time.  ``fold``
-        selects the constant-folding policy: ``"all"`` (the serving
-        default) folds frozen weights *and* frozen graph operators,
-        ``"weights"`` keeps the preprocess cache re-bindable, ``"none"``
-        keeps parameters re-bindable too.  Raises
-        :class:`repro.serving.TraceError` if the model cannot be traced;
-        :meth:`serve` applies the same compilation transparently (with
-        eager fallback) on cache-miss traffic.
-        """
-        return compile_forward(self.model, self.graph, self._preprocess_cache, fold=fold)
-
     def serve(self, config: Optional[ServeConfig] = None) -> InferenceServer:
         """A micro-batching engine for this model, cache pre-warmed.
 

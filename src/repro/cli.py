@@ -24,8 +24,8 @@ programs and the serving front door all drive the same
 
 ``python -m repro.cli serve-bench <artifact-dir> [<artifact-dir> ...]``
     Drive one or many artifacts through the shard-router front door under
-    concurrent load; ``--cache-dir`` persists the operator cache across
-    processes (warm before, spill after).
+    concurrent load; ``--cache-dir`` persists the operator and logit caches
+    across processes (warm before, spill after).
 
 ``python -m repro.cli experiment <spec.toml|spec.json>``
     Run a declarative :class:`repro.api.SweepSpec` (models × datasets ×
@@ -57,7 +57,6 @@ import sys
 import threading
 import time
 import zipfile
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -153,11 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     predict_parser.add_argument(
         "--json", action="store_true", help="emit predictions as JSON instead of a summary"
     )
-    predict_parser.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=False,
-        help="replay a traced grad-free program instead of the eager forward "
-             "(--compile traces + validates, --no-compile stays eager)",
-    )
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -180,11 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--cache-dir", default=None,
-        help="operator-cache spill directory warmed before the artifacts load",
-    )
-    serve_parser.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=None,
-        help="forward compilation on cache-miss traffic (default 'auto')",
+        help="operator/logit-cache spill directory warmed before the artifacts load",
     )
     serve_parser.add_argument(
         "--for-seconds", type=float, default=None,
@@ -236,16 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--cache-dir", default=None,
-        help="operator-cache spill directory: warmed before the artifacts "
-             "load, re-spilled after the benchmark (cold starts become warm "
-             "across processes); compiled traces spill beside it under "
-             "<cache-dir>/traces",
-    )
-    bench_parser.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=None,
-        help="forward compilation on cache-miss traffic: --compile forces "
-             "traced replay, --no-compile forces eager; default is 'auto' "
-             "(trace with eager fallback)",
+        help="operator/logit-cache spill directory: warmed before the "
+             "artifacts load, re-spilled after the benchmark (cold starts "
+             "become warm across processes)",
     )
     bench_parser.add_argument(
         "--mutate", type=int, default=0, metavar="N",
@@ -432,12 +415,7 @@ def _command_predict(args: argparse.Namespace) -> int:
     if handle is None:
         return code
     graph = handle.graph
-    if args.compile:
-        # Trace one forward into a grad-free program; compile_forward
-        # validates the replay bit-identical against eager before returning.
-        predictions = np.argmax(handle.compile().run(), axis=1)
-    else:
-        predictions = handle.predict()
+    predictions = handle.predict()
     node_ids = (
         np.arange(graph.num_nodes)
         if args.nodes is None
@@ -448,14 +426,12 @@ def _command_predict(args: argparse.Namespace) -> int:
         print(json.dumps({
             "model": handle.model_name,
             "graph": graph.name,
-            "compiled": bool(args.compile),
             "nodes": node_ids.tolist(),
             "predictions": predictions[node_ids].tolist(),
         }))
         return 0
 
-    mode = "compiled (traced replay)" if args.compile else "eager"
-    print(f"model: {handle.model_name}  graph: {graph.name}  nodes={graph.num_nodes}  [{mode}]")
+    print(f"model: {handle.model_name}  graph: {graph.name}  nodes={graph.num_nodes}")
     if graph.test_mask is not None:
         print(f"test accuracy: {accuracy(predictions, graph.labels, graph.test_mask):.4f}")
     shown = node_ids[:10]
@@ -511,7 +487,6 @@ def _serve_cluster(args: argparse.Namespace) -> int:
     if flag_error is not None:
         print(f"error: {flag_error}", file=sys.stderr)
         return EXIT_ARTIFACT_ERROR
-    compile_mode = "auto" if args.compile is None else ("trace" if args.compile else "eager")
     try:
         server = serve_cluster(
             args.artifacts,
@@ -521,7 +496,6 @@ def _serve_cluster(args: argparse.Namespace) -> int:
                 max_batch_size=args.batch_size,
                 max_wait_ms=args.max_wait_ms,
                 router_max_pending=args.max_pending,
-                compile=compile_mode,
             ),
             host=args.host,
             port=args.port,
@@ -583,13 +557,11 @@ def _command_serve(args: argparse.Namespace) -> int:
     if flag_error is not None:
         print(f"error: {flag_error}", file=sys.stderr)
         return EXIT_ARTIFACT_ERROR
-    compile_mode = "auto" if args.compile is None else ("trace" if args.compile else "eager")
     session = Session(
         serve=ServeConfig(
             max_batch_size=args.batch_size,
             max_wait_ms=args.max_wait_ms,
             router_max_pending=args.max_pending,
-            compile=compile_mode,
         )
     )
     try:
@@ -625,13 +597,11 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
         from repro.serving import tune_allocator_for_churn
 
         tune_allocator_for_churn()
-    compile_mode = "auto" if args.compile is None else ("trace" if args.compile else "eager")
     session = Session(
         serve=ServeConfig(
             max_batch_size=args.batch_size,
             max_wait_ms=args.max_wait_ms,
             router_max_pending=args.max_pending,
-            compile=compile_mode,
         )
     )
     try:
@@ -751,22 +721,14 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
         f"logit cache: {logit_stats['hits']} hits / {logit_stats['misses']} misses "
         f"(weights-versioned keys)"
     )
-    if stats.trace is not None:
-        trace_stats = stats.trace.as_dict()
-        print(
-            f"trace cache [{compile_mode}]: {trace_stats['compiles']} compiles, "
-            f"{trace_stats['hits']} hits / {trace_stats['misses']} misses, "
-            f"{trace_stats['fallbacks']} eager fallbacks"
-        )
-    else:
-        print("trace cache: disabled (eager)")
     if args.cache_dir:
-        spilled = router.operator_cache.spill(args.cache_dir)
-        print(f"spilled {spilled} preprocess entr{'y' if spilled == 1 else 'ies'} to {args.cache_dir}")
-        if router.trace_cache is not None:
-            trace_dir = Path(args.cache_dir) / "traces"
-            spilled_traces = router.trace_cache.spill(trace_dir)
-            print(f"spilled {spilled_traces} compiled trace(s) to {trace_dir}")
+        spilled = router.spill(args.cache_dir)
+        print(
+            f"spilled {spilled['operators']} preprocess "
+            f"entr{'y' if spilled['operators'] == 1 else 'ies'} and "
+            f"{spilled['logits']} logit entr{'y' if spilled['logits'] == 1 else 'ies'} "
+            f"to {args.cache_dir}"
+        )
     return 0
 
 

@@ -2,7 +2,7 @@
 
 ``repro serve --workers N`` runs here: N router workers, each a separate
 process with its own GIL, all warming from (and spilling into) one shared
-operator/trace cache directory, behind a single parent HTTP front door.
+operator/logit cache directory, behind a single parent HTTP front door.
 The parent load-balances ``/predict`` across healthy workers and
 aggregates ``/stats`` and ``/metrics`` across the fleet:
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import json
 import time
 from dataclasses import asdict
 from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Sequence, Tuple
@@ -39,6 +38,7 @@ from ..serving.http import (
     DEFAULT_PORT,
     DEFAULT_REQUEST_TIMEOUT,
     BaseHttpServer,
+    parse_predict_body,
 )
 from .net import CONNECT_PLACEHOLDER, read_secret, ssh_worker_command
 from .pool import (
@@ -51,10 +51,14 @@ from .pool import (
 )
 
 #: worker-side exception class names mapped onto front-door status codes;
-#: anything else is a plain in-worker failure (500).
+#: anything else is a plain in-worker failure (500).  The 400s are the
+#: request errors the single-process door answers 400 too.
 _REMOTE_STATUS = {
     "UnknownShard": 404,
     "ServerOverloaded": 429,
+    "IndexError": 400,
+    "ValueError": 400,
+    "TypeError": 400,
 }
 
 
@@ -248,21 +252,9 @@ class ClusterHttpServer(BaseHttpServer):
 
     async def _handle_predict(self, *, query: str, body: bytes) -> Tuple[int, object]:
         try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return 400, {"error": f"body is not valid JSON: {error}"}
-        if not isinstance(payload, dict):
-            return 400, {"error": "body must be a JSON object"}
-        node_ids = payload.get("node_ids")
-        if node_ids is not None:
-            if not isinstance(node_ids, list) or not all(
-                isinstance(node, int) and not isinstance(node, bool)
-                for node in node_ids
-            ):
-                return 400, {"error": "node_ids must be a list of integers"}
-        shard = payload.get("shard")
-        if shard is not None and not isinstance(shard, str):
-            return 400, {"error": "shard must be a string"}
+            node_ids, shard = parse_predict_body(body)
+        except ValueError as error:
+            return 400, {"error": str(error)}
 
         try:
             result = await self._pool_call(

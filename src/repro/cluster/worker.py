@@ -28,7 +28,7 @@ Supported ops:
 ``load``
     build and start a :class:`repro.serving.ShardRouter` over serving
     artifacts (``args: {"artifacts": [...], "cache_dir": ..., "serve":
-    {...}}``), warming the operator/trace cache directory first and
+    {...}}``), warming the operator/logit cache directory first and
     spilling freshly-computed entries back into it after the load.  A
     connect-back worker ignores the supervisor's ``cache_dir`` — a path
     on the pool's machine means nothing here — and uses its *own* warm
@@ -40,14 +40,15 @@ Supported ops:
 ``stats``
     the worker's router snapshot plus worker identity.
 ``spill``
-    re-spill the operator/trace caches into the cache directory.
+    re-spill the operator/logit caches into the cache directory.
 ``crash``
     exit immediately without cleanup (``os._exit``) — the supervisor's
     crash-recovery test/benchmark hook.
 ``sleep``
     block for ``args["seconds"]`` — the supervisor's task-timeout hook.
 ``shutdown``
-    acknowledge, then exit the loop cleanly.
+    spill the caches into the cache directory, acknowledge, then exit the
+    loop cleanly.
 
 The worker traps SIGTERM/SIGINT: when idle it exits immediately; when an
 op is mid-flight it finishes the op, writes the response, and exits then
@@ -121,12 +122,8 @@ def _op_run_shard(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:
 def _spill_caches(state: _State) -> Dict[str, int]:
     """Spill both caches into the cache directory (atomic, skip-existing)."""
     if state.router is None or state.cache_dir is None:
-        return {"operators": 0, "traces": 0}
-    spilled = state.router.operator_cache.spill(state.cache_dir)
-    traces = 0
-    if state.router.trace_cache is not None:
-        traces = state.router.trace_cache.spill(Path(state.cache_dir) / "traces")
-    return {"operators": spilled, "traces": traces}
+        return {"operators": 0, "logits": 0}
+    return state.router.spill(state.cache_dir)
 
 
 def _op_load(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:
@@ -153,7 +150,7 @@ def _op_load(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:
     router.start()
     state.router = router
     state.cache_dir = cache_dir
-    # Spill-on-load: whoever preprocessed (or compiled) first shares the
+    # Spill-on-load: whoever preprocessed first shares the
     # result; entries already on disk are skipped, concurrent writers are
     # safe (atomic rename), so no coordination between workers is needed.
     spilled = _spill_caches(state)
@@ -235,7 +232,9 @@ def _op_sleep(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _op_shutdown(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:
-    return {"worker": state.worker_id, "bye": True}
+    # Logits are computed after the load's spill; spilling them here hands
+    # the next fleet on this cache directory its forwards already paid.
+    return {"worker": state.worker_id, "bye": True, "spilled": _spill_caches(state)}
 
 
 _OPS = {

@@ -9,7 +9,7 @@ A graph is fingerprinted by hashing its adjacency in *canonical* CSR form
 float64 data), the dense feature matrix, the labels and the split masks.
 Canonicalisation means two representations of the same mathematical graph
 — duplicate-entry COO, unsorted indices, stored zeros, int32 index arrays
-— share one fingerprint, so they also share operator/logit/trace cache
+— share one fingerprint, so they also share operator/logit cache
 entries (``preprocess()`` is a pure function of the mathematical graph,
 not of its storage layout).
 

@@ -6,7 +6,7 @@ composition of :class:`repro.nn.Module` objects whose parameters are
 """
 
 from . import functional
-from .tensor import Tensor, as_tensor, concatenate, sparse_matmul, stack, where, zeros, ones
+from .tensor import Tensor, as_tensor, concatenate, no_grad, sparse_matmul, stack, where, zeros, ones
 from .layers import (
     BatchNorm,
     Dropout,
@@ -23,6 +23,7 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concatenate",
+    "no_grad",
     "stack",
     "sparse_matmul",
     "where",

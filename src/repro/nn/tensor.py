@@ -13,7 +13,9 @@ PyTorch semantics at a much smaller scale:
 * constant sparse matrices (``scipy.sparse``) participate through
   :func:`sparse_matmul`, which propagates gradients only to the dense
   operand — exactly what graph propagation needs, because adjacency
-  matrices are never trained.
+  matrices are never trained;
+* inside :func:`no_grad` the calling thread records no tape at all, which
+  is how inference runs a forward for its values alone.
 
 Broadcasting is supported for elementwise operations; gradients are summed
 back to the original shapes with :func:`_unbroadcast`.
@@ -22,7 +24,8 @@ back to the original shapes with :func:`_unbroadcast`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,35 +34,35 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 
 # ---------------------------------------------------------------------- #
-# Trace recording hook
+# Tape switch
 # ---------------------------------------------------------------------- #
-# Every operation that produces a Tensor carries op metadata (a stable op
-# name plus the non-tensor attributes needed to recompute it).  A recorder
-# installed via :func:`set_active_tracer` observes each construction, which
-# is how :mod:`repro.serving.trace` turns one eager forward pass into a
-# flat, grad-free numpy program that replays without building Tensors or a
-# backward tape.  The hook is thread-local so a server worker tracing a
-# forward never observes tensors created by concurrent training threads.
-_trace_state = threading.local()
+# Inference needs values, not gradients.  Inside :func:`no_grad` every op
+# returns a plain Tensor with no parents and no backward closure, so a
+# forward builds no tape.  The switch is thread-local: a server thread
+# answering requests never stops a training thread from recording.
+_grad_state = threading.local()
 
 
-def set_active_tracer(tracer) -> None:
-    """Install ``tracer`` (or ``None``) for the calling thread.
-
-    ``tracer`` is duck-typed: it needs a ``record(out, op, parents, attrs)``
-    method, called for every Tensor an operation creates on this thread.
-    """
-    _trace_state.tracer = tracer
-
-
-def active_tracer():
-    return getattr(_trace_state, "tracer", None)
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no autograd tape on the calling thread while the block runs."""
+    previous = getattr(_grad_state, "disabled", False)
+    _grad_state.disabled = True
+    try:
+        yield
+    finally:
+        _grad_state.disabled = previous
 
 
-def _record_trace(out: "Tensor", op: Optional[str], parents: Sequence["Tensor"], attrs) -> None:
-    tracer = getattr(_trace_state, "tracer", None)
-    if tracer is not None:
-        tracer.record(out, op, parents, attrs or {})
+def _taped(
+    data: np.ndarray,
+    parents: Sequence["Tensor"],
+    backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
+) -> "Tensor":
+    """The output of one op: recorded on the tape only when it needs a gradient."""
+    if getattr(_grad_state, "disabled", False) or not any(p.requires_grad for p in parents):
+        return Tensor(data)
+    return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
 
 
 def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
@@ -165,21 +168,7 @@ class Tensor:
             return value
         return Tensor(value)
 
-    def _make(
-        self,
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
-        op: Optional[str] = None,
-        attrs: Optional[dict] = None,
-    ) -> "Tensor":
-        requires_grad = any(p.requires_grad for p in parents)
-        if not requires_grad:
-            out = Tensor(data, requires_grad=False)
-        else:
-            out = Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
-        _record_trace(out, op, parents, attrs)
-        return out
+    _make = staticmethod(_taped)
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
@@ -194,7 +183,7 @@ class Tensor:
                 _unbroadcast(grad, other.shape),
             )
 
-        return self._make(out_data, (self, other), backward, op="add")
+        return self._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -202,7 +191,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (-grad,)
 
-        return self._make(-self.data, (self,), backward, op="neg")
+        return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self + (-self._ensure(other))
@@ -220,7 +209,7 @@ class Tensor:
                 _unbroadcast(grad * self.data, other.shape),
             )
 
-        return self._make(out_data, (self, other), backward, op="mul")
+        return self._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -234,7 +223,7 @@ class Tensor:
                 _unbroadcast(-grad * self.data / (other.data ** 2), other.shape),
             )
 
-        return self._make(out_data, (self, other), backward, op="div")
+        return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         return self._ensure(other) / self
@@ -245,7 +234,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad * exponent * self.data ** (exponent - 1),)
 
-        return self._make(out_data, (self,), backward, op="pow", attrs={"exponent": exponent})
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Linear algebra
@@ -259,7 +248,7 @@ class Tensor:
             grad_other = self.data.T @ grad if other.requires_grad else None
             return (grad_self, grad_other)
 
-        return self._make(out_data, (self, other), backward, op="matmul")
+        return self._make(out_data, (self, other), backward)
 
     __matmul__ = matmul
 
@@ -267,7 +256,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad.T,)
 
-        return self._make(self.data.T, (self,), backward, op="transpose")
+        return self._make(self.data.T, (self,), backward)
 
     def reshape(self, *shape: int) -> "Tensor":
         original_shape = self.shape
@@ -275,10 +264,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad.reshape(original_shape),)
 
-        return self._make(
-            self.data.reshape(*shape), (self,), backward,
-            op="reshape", attrs={"shape": tuple(shape)},
-        )
+        return self._make(self.data.reshape(*shape), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -288,7 +274,7 @@ class Tensor:
             np.add.at(full, index, grad)
             return (full,)
 
-        return self._make(out_data, (self,), backward, op="getitem", attrs={"index": index})
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Reductions
@@ -303,10 +289,7 @@ class Tensor:
             expanded = grad if keepdims else np.expand_dims(grad, axis)
             return (np.broadcast_to(expanded, self.shape).copy(),)
 
-        return self._make(
-            out_data, (self,), backward,
-            op="sum", attrs={"axis": axis, "keepdims": keepdims},
-        )
+        return self._make(out_data, (self,), backward)
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         count = self.size if axis is None else self.shape[axis]
@@ -327,10 +310,7 @@ class Tensor:
             mask /= mask.sum(axis=axis, keepdims=True)
             return (mask * expanded_grad,)
 
-        return self._make(
-            out_data, (self,), backward,
-            op="max", attrs={"axis": axis, "keepdims": keepdims},
-        )
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Elementwise nonlinearities
@@ -341,13 +321,13 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad * out_data,)
 
-        return self._make(out_data, (self,), backward, op="exp")
+        return self._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad: np.ndarray):
             return (grad / self.data,)
 
-        return self._make(np.log(self.data), (self,), backward, op="log")
+        return self._make(np.log(self.data), (self,), backward)
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
@@ -356,7 +336,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad * np.sign(self.data),)
 
-        return self._make(np.abs(self.data), (self,), backward, op="abs")
+        return self._make(np.abs(self.data), (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -364,7 +344,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad * mask,)
 
-        return self._make(self.data * mask, (self,), backward, op="relu")
+        return self._make(self.data * mask, (self,), backward)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         positive = self.data > 0
@@ -373,10 +353,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad * scale,)
 
-        return self._make(
-            self.data * scale, (self,), backward,
-            op="leaky_relu", attrs={"negative_slope": negative_slope},
-        )
+        return self._make(self.data * scale, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -384,7 +361,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad * out_data * (1.0 - out_data),)
 
-        return self._make(out_data, (self,), backward, op="sigmoid")
+        return self._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -392,7 +369,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad * (1.0 - out_data ** 2),)
 
-        return self._make(out_data, (self,), backward, op="tanh")
+        return self._make(out_data, (self,), backward)
 
     def elu(self, alpha: float = 1.0) -> "Tensor":
         positive = self.data > 0
@@ -403,7 +380,7 @@ class Tensor:
             local = np.where(positive, 1.0, exp_part + alpha)
             return (grad * local,)
 
-        return self._make(out_data, (self,), backward, op="elu", attrs={"alpha": alpha})
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Softmax family (implemented here so they stay numerically stable)
@@ -417,7 +394,7 @@ class Tensor:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
             return (out_data * (grad - dot),)
 
-        return self._make(out_data, (self,), backward, op="softmax", attrs={"axis": axis})
+        return self._make(out_data, (self,), backward)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
@@ -428,7 +405,7 @@ class Tensor:
         def backward(grad: np.ndarray):
             return (grad - softmax * grad.sum(axis=axis, keepdims=True),)
 
-        return self._make(out_data, (self,), backward, op="log_softmax", attrs={"axis": axis})
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------ #
     # Backward pass
@@ -493,13 +470,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         pieces = np.split(grad, boundaries, axis=axis)
         return tuple(pieces)
 
-    requires_grad = any(t.requires_grad for t in tensors)
-    if not requires_grad:
-        out = Tensor(out_data)
-    else:
-        out = Tensor(out_data, requires_grad=True, parents=tensors, backward_fn=backward)
-    _record_trace(out, "concatenate", tensors, {"axis": axis})
-    return out
+    return _taped(out_data, tensors, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -511,13 +482,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         pieces = np.split(grad, len(tensors), axis=axis)
         return tuple(np.squeeze(piece, axis=axis) for piece in pieces)
 
-    requires_grad = any(t.requires_grad for t in tensors)
-    if not requires_grad:
-        out = Tensor(out_data)
-    else:
-        out = Tensor(out_data, requires_grad=True, parents=tensors, backward_fn=backward)
-    _record_trace(out, "stack", tensors, {"axis": axis})
-    return out
+    return _taped(out_data, tensors, backward)
 
 
 def sparse_matmul(matrix: sp.spmatrix, tensor: Tensor) -> Tensor:
@@ -535,12 +500,7 @@ def sparse_matmul(matrix: sp.spmatrix, tensor: Tensor) -> Tensor:
     def backward(grad: np.ndarray):
         return (matrix.T @ grad,)
 
-    if not tensor.requires_grad:
-        out = Tensor(out_data)
-    else:
-        out = Tensor(out_data, requires_grad=True, parents=(tensor,), backward_fn=backward)
-    _record_trace(out, "sparse_matmul", (tensor,), {"matrix": matrix})
-    return out
+    return _taped(out_data, (tensor,), backward)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -556,13 +516,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(grad * (~condition), b.shape),
         )
 
-    requires_grad = a.requires_grad or b.requires_grad
-    if not requires_grad:
-        out = Tensor(out_data)
-    else:
-        out = Tensor(out_data, requires_grad=True, parents=(a, b), backward_fn=backward)
-    _record_trace(out, "where", (a, b), {"condition": condition})
-    return out
+    return _taped(out_data, (a, b), backward)
 
 
 def as_tensor(value: Union[Tensor, ArrayLike], requires_grad: bool = False) -> Tensor:

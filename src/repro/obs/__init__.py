@@ -3,8 +3,7 @@
 Everything the serving stack uses to *see* itself lives here, dependency
 free, so any component (and any future subsystem) can opt in:
 
-* :mod:`repro.obs.stats` — the ``Stats``/``StatsSource`` snapshot protocol
-  (moved here from :mod:`repro.serving.stats`, which re-exports it);
+* :mod:`repro.obs.stats` — the ``Stats``/``StatsSource`` snapshot protocol;
 * :mod:`repro.obs.histogram` — bounded log-bucketed
   :class:`LatencyHistogram` with mergeable snapshots and p50/p95/p99
   readout, replacing unbounded latency lists;

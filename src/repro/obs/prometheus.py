@@ -49,8 +49,6 @@ COUNTER_FIELDS = frozenset(
         "evictions",
         "submitted",
         "rejected",
-        "compiles",
-        "fallbacks",
         "connections",
         "shed",
     }

@@ -11,7 +11,7 @@ marks the stage boundaries as the request moves through the pipeline:
 ``cache``
     logit-cache lookup plus — on a miss — the operator-cache preprocess;
 ``forward``
-    the compiled trace replay or eager forward (≈0 on a memoised hit);
+    the tape-off eager forward (≈0 on a memoised hit);
 ``deliver``
     fan-out of the logit rows into the ticket and callback firing.
 

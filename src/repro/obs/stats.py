@@ -13,12 +13,11 @@ now share one contract:
   ``hit_rate``), so a new counter is one field, not a field plus a dict
   entry to forget;
 * every stats-bearing component (``LRUCache``, ``OperatorCache``,
-  ``TraceCache``, ``InferenceServer``, ``ShardRouter``, ``HttpServer``)
+  ``InferenceServer``, ``ShardRouter``, ``HttpServer``)
   exposes ``snapshot() -> dict`` ≡ ``stats().as_dict()``, which is the
   shape the ``/stats`` endpoint and the benchmarks read.
 
-The protocol lives in :mod:`repro.obs` (the observability layer) and is
-re-exported by :mod:`repro.serving.stats` for existing import sites.
+The protocol lives in :mod:`repro.obs` (the observability layer).
 """
 
 from __future__ import annotations

@@ -4,13 +4,8 @@ Takes any trained registry model or :class:`repro.api.ModelHandle` from
 "trained in memory" to "served under concurrent load":
 
 * :mod:`repro.serving.artifacts` — versioned save/load of weights + config;
-* :mod:`repro.serving.fingerprint` — content hashes of graphs and models;
-* :mod:`repro.serving.cache` — bounded LRU reuse of ``preprocess()`` output;
-* :mod:`repro.serving.trace` — traced grad-free inference kernels: one
-  eager forward compiled into a flat numpy program, replayed on cache-miss
-  traffic (the ``compile`` mode of the engine and router);
-* :mod:`repro.serving.stats` — the shared ``as_dict()``/``snapshot()``
-  stats protocol every component speaks;
+* :mod:`repro.serving.cache` — bounded LRU reuse of ``preprocess()`` output
+  and of logits, both spillable to ``.npz`` files;
 * :mod:`repro.serving.engine` — the micro-batching :class:`InferenceServer`;
 * :mod:`repro.serving.router` — the multi-artifact :class:`ShardRouter`
   front door with sync ``submit`` and asyncio ``asubmit``;
@@ -37,24 +32,15 @@ from .engine import (
     ServerStats,
 )
 from .http import BaseHttpServer, HttpServer, HttpStats
-from .fingerprint import (
+from ..fingerprint import (
     array_digest,
     graph_fingerprint,
     model_fingerprint,
     preprocess_key,
     state_fingerprint,
 )
+from ..obs.stats import Stats, StatsSource
 from .router import RouterStats, ShardInfo, ShardRouter, UnknownShard
-from .stats import Stats, StatsSource
-from .trace import (
-    COMPILE_MODES,
-    FOLD_MODES,
-    TraceCache,
-    TraceCacheStats,
-    TracedProgram,
-    TraceError,
-    compile_forward,
-)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -81,14 +67,7 @@ __all__ = [
     "UnknownShard",
     "Stats",
     "StatsSource",
-    "COMPILE_MODES",
-    "FOLD_MODES",
-    "TraceCache",
-    "TraceCacheStats",
     "tune_allocator_for_churn",
-    "TracedProgram",
-    "TraceError",
-    "compile_forward",
     "array_digest",
     "graph_fingerprint",
     "model_fingerprint",

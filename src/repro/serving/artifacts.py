@@ -34,7 +34,7 @@ from ..graph.digraph import DirectedGraph
 from ..graph.io import load_graph, save_graph
 from ..models.base import NodeClassifier
 from ..models.registry import get_spec
-from .fingerprint import model_fingerprint
+from ..fingerprint import model_fingerprint
 
 PathLike = Union[str, Path]
 

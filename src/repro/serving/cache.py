@@ -10,11 +10,11 @@ Two layers of reuse make warm inference cheap:
   sparse precomputation (DP operator construction, K-step propagation),
   which is the dominant cost of the decoupled models.
 
-The operator cache can also persist its entries to disk
-(:meth:`OperatorCache.spill`) and reload them in another process
-(:meth:`OperatorCache.warm`): each entry becomes one ``.npz`` file named by
-a digest of its ``model-signature × graph-fingerprint`` key, so cold starts
-are warm across processes and machines.
+Both caches can persist their entries to disk (:meth:`LRUCache.spill`)
+and reload them in another process (:meth:`LRUCache.warm`): each entry
+becomes one ``.npz`` file named by a digest of its key and tagged with the
+cache's ``kind``, so operator and logit entries share one directory and
+cold starts are warm across processes and machines.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..obs.histogram import HistogramStats, LatencyHistogram
-from .fingerprint import preprocess_key
-from .stats import Stats, StatsSource
+from ..fingerprint import preprocess_key
+from ..obs.stats import Stats, StatsSource
 
 PathLike = Union[str, Path]
 
@@ -173,6 +173,88 @@ class LRUCache(StatsSource):
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+
+    def spill(self, directory: PathLike, kind: str, overwrite: bool = False) -> int:
+        """Persist the entries under ``directory``; returns the count written.
+
+        Each entry becomes one ``.npz`` file named by a digest of its key;
+        the key itself and ``kind`` ride inside the file, so caches of
+        different kinds can share one directory.  A key whose file already
+        exists is skipped unless ``overwrite`` is set — the content is a
+        deterministic function of the key, so re-encoding it (e.g. on
+        every warm benchmark run) would only burn CPU writing identical
+        bytes.  Writes go through a temp-file + atomic-rename path, so any
+        number of worker processes can spill into one shared directory
+        concurrently without a coordination step — a reader never sees a
+        partial file.  Two entry classes are skipped by design:
+        hand-constructed models carry a per-process ``#token`` signature
+        that is meaningless in another process, and values the codec
+        cannot represent (a preprocess result holding e.g. an open
+        resource) are left in memory only.
+        """
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        written = 0
+        for key, value in self.entries():
+            # Operator keys are "signature/fingerprint" strings; logit keys
+            # are (signature, weights version, fingerprint) tuples.
+            signature = key[0] if isinstance(key, tuple) else key.split("/", 1)[0]
+            if "#" in signature:
+                continue
+            path = directory / _spill_filename(str(key))
+            if not overwrite and path.exists():
+                continue
+            arrays: List[np.ndarray] = []
+            try:
+                structure = _encode(value, arrays)
+            except TypeError:
+                continue
+            payload = {f"a{index}": array for index, array in enumerate(arrays)}
+            payload[_SPILL_META] = np.array(
+                json.dumps(
+                    {
+                        "format_version": SPILL_FORMAT_VERSION,
+                        "kind": kind,
+                        "key": list(key) if isinstance(key, tuple) else key,
+                        "structure": structure,
+                    }
+                )
+            )
+            _atomic_savez(path, payload)
+            written += 1
+        return written
+
+    def warm(self, directory: PathLike, kind: str) -> int:
+        """Reload the ``kind`` entries spilled under ``directory``.
+
+        Unreadable, foreign or version-mismatched files and other kinds'
+        entries are skipped — a stale cache directory must never take
+        serving down.  The capacity grows to hold everything loaded (it
+        never shrinks); returns the number of entries restored.
+        """
+        directory = Path(directory)
+        if not directory.is_dir():
+            return 0
+        loaded: List[Tuple[Any, Any]] = []
+        for path in sorted(directory.glob("*.npz")):
+            try:
+                with np.load(path, allow_pickle=False) as data:
+                    meta = json.loads(str(data[_SPILL_META]))
+                    if meta.get("format_version") != SPILL_FORMAT_VERSION:
+                        continue
+                    # Operator spills written before kinds existed carry none.
+                    if meta.get("kind", "operator") != kind:
+                        continue
+                    key = meta["key"]
+                    key = tuple(key) if isinstance(key, list) else key
+                    loaded.append((key, _decode(meta["structure"], data)))
+            except _WARM_ERRORS:
+                continue
+        if loaded:
+            self.grow(len(self) + len(loaded))
+            for key, value in loaded:
+                self.put(key, value)
+        return len(loaded)
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -408,75 +490,9 @@ class OperatorCache(StatsSource):
     # On-disk persistence
     # ------------------------------------------------------------------ #
     def spill(self, directory: PathLike, overwrite: bool = False) -> int:
-        """Persist the cached preprocess entries under ``directory``.
-
-        Each entry becomes one ``.npz`` file named by a digest of its
-        ``model-signature × graph-fingerprint`` key (the key itself rides
-        inside the file).  Returns the number of entries written.  A key
-        whose file already exists is skipped unless ``overwrite`` is set —
-        the content is a deterministic function of the key, so re-encoding
-        it (e.g. on every warm benchmark run) would only burn CPU writing
-        identical bytes.  Writes go through a temp-file + atomic-rename
-        path, so any number of worker processes can spill into one shared
-        directory concurrently without a coordination step — a reader never
-        sees a partial file.  Two entry classes are skipped by design:
-        hand-constructed models carry a per-process ``#token`` signature
-        that is meaningless in another process, and values the codec cannot
-        represent (a preprocess result holding e.g. an open resource) are
-        left in memory only.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written = 0
-        for key, value in self._cache.entries():
-            if "#" in str(key).split("/", 1)[0]:
-                continue
-            if not overwrite and (directory / _spill_filename(key)).exists():
-                continue
-            arrays: List[np.ndarray] = []
-            try:
-                structure = _encode(value, arrays)
-            except TypeError:
-                continue
-            payload = {f"a{index}": array for index, array in enumerate(arrays)}
-            payload[_SPILL_META] = np.array(
-                json.dumps(
-                    {
-                        "format_version": SPILL_FORMAT_VERSION,
-                        "key": key,
-                        "structure": structure,
-                    }
-                )
-            )
-            _atomic_savez(directory / _spill_filename(key), payload)
-            written += 1
-        return written
+        """Persist the cached preprocess entries (see :meth:`LRUCache.spill`)."""
+        return self._cache.spill(directory, "operator", overwrite)
 
     def warm(self, directory: PathLike) -> int:
-        """Reload spilled entries from ``directory`` into the cache.
-
-        Unreadable, foreign or version-mismatched files are skipped — a
-        stale cache directory must never take serving down.  The capacity
-        grows to hold everything loaded (it never shrinks), and returns
-        the number of entries restored.
-        """
-        directory = Path(directory)
-        if not directory.is_dir():
-            return 0
-        loaded: List[Tuple[str, Any]] = []
-        for path in sorted(directory.glob("*.npz")):
-            try:
-                with np.load(path, allow_pickle=False) as data:
-                    meta = json.loads(str(data[_SPILL_META]))
-                    if meta.get("format_version") != SPILL_FORMAT_VERSION:
-                        continue
-                    if meta.get("kind") not in (None, "operator"):
-                        continue  # e.g. a trace spill sharing the directory
-                    loaded.append((meta["key"], _decode(meta["structure"], data)))
-            except _WARM_ERRORS:
-                continue
-        if loaded:
-            self._cache.grow(len(self._cache) + len(loaded))
-            for key, value in loaded:
-                self._cache.put(key, value)
-        return len(loaded)
+        """Reload spilled preprocess entries (see :meth:`LRUCache.warm`)."""
+        return self._cache.warm(directory, "operator")

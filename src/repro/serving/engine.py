@@ -36,16 +36,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..fingerprint import state_fingerprint
 from ..graph.delta import GraphDelta
 from ..graph.digraph import DirectedGraph
 from ..models.base import NodeClassifier
 from ..obs.histogram import HistogramStats, LatencyHistogram
 from ..obs.spans import RequestTrace, TraceBuffer
+from ..obs.stats import Stats, StatsSource
 from .artifacts import ModelArtifact, restore_model
 from .cache import CacheStats, LRUCache, OperatorCache
-from .fingerprint import state_fingerprint
-from .stats import Stats, StatsSource
-from .trace import COMPILE_MODES, TraceCache, TraceCacheStats
 
 #: queue sentinel telling the worker thread to exit.
 _STOP = object()
@@ -242,7 +241,7 @@ class InferenceTicket:
 
 @dataclass
 class ServerStats(Stats):
-    """Point-in-time serving counters (see :class:`repro.serving.stats.Stats`).
+    """Point-in-time serving counters (see :class:`repro.obs.stats.Stats`).
 
     ``mean_latency_ms``/``max_latency_ms`` keep their historical meaning
     (exact values, tracked alongside the histogram); ``latency`` carries
@@ -264,8 +263,6 @@ class ServerStats(Stats):
     logit_cache: CacheStats
     #: full request-latency distribution (log-spaced buckets, mergeable).
     latency: HistogramStats = field(default_factory=HistogramStats)
-    #: shared-trace-cache counters; ``None`` on an eager-only server.
-    trace: Optional[TraceCacheStats] = None
 
     @property
     def p50_latency_ms(self) -> float:
@@ -300,8 +297,6 @@ class InferenceServer(StatsSource):
         logit_cache_capacity: int = 8,
         logit_cache: Optional[LRUCache] = None,
         max_pending: Optional[int] = None,
-        compile: str = "auto",
-        trace_cache: Optional[TraceCache] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -309,10 +304,6 @@ class InferenceServer(StatsSource):
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1 (or None), got {max_pending}")
-        if compile not in COMPILE_MODES:
-            raise ValueError(
-                f"unknown compile mode {compile!r}; expected one of {COMPILE_MODES}"
-            )
         self.model = model.eval()
         self.graph = graph
         self.cache = operator_cache if operator_cache is not None else OperatorCache()
@@ -326,23 +317,12 @@ class InferenceServer(StatsSource):
         self._logit_cache = (
             logit_cache if logit_cache is not None else LRUCache(logit_cache_capacity)
         )
-        # Computed lazily by the worker *after* the first preprocess, so
-        # lazily-built modules (ADPA's attention) exist before their weights
-        # are hashed into the version.  The (signature, weights-version)
-        # cache-key prefix is frozen alongside it: both only reset through
-        # clear_logit_cache(), so the hot batch loop never rehashes them.
-        self._weights_version: Optional[str] = None
+        # The (signature, weights-version) cache-key prefix is computed
+        # lazily by the worker *after* the first preprocess, so lazily-built
+        # modules (ADPA's attention) exist before their weights are hashed
+        # into the version.  It only resets through clear_logit_cache(), so
+        # the hot batch loop never rehashes the weights.
         self._logit_key_prefix: Optional[Tuple[str, str]] = None
-        # Compiled-trace serving: cache-miss forwards replay a flat,
-        # grad-free numpy program instead of the autograd graph (see
-        # :mod:`repro.serving.trace`).  "auto" remembers keys that failed
-        # to trace and stops retrying them; "trace" retries every miss;
-        # "eager" never compiles and allocates no trace cache.
-        self.compile_mode = compile
-        if trace_cache is None and compile != "eager":
-            trace_cache = TraceCache()
-        self._trace_cache = trace_cache if compile != "eager" else None
-        self._broken_traces: set = set()
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_ms / 1000.0
         self.max_pending = max_pending
@@ -480,7 +460,7 @@ class InferenceServer(StatsSource):
         (incremental fingerprint), **warms the new fingerprint before
         swapping** — via the model's in-place ``update_preprocess`` when
         supported, a full re-preprocess otherwise — rebinds ``self.graph``
-        and then surgically invalidates operator/trace/logit entries keyed
+        and then surgically invalidates operator/logit entries keyed
         by the old fingerprint.  The invalidation is deferred through a
         queue marker so requests already bound to the old graph (they sit
         between the swap and the marker in FIFO order) keep answering from
@@ -511,7 +491,6 @@ class InferenceServer(StatsSource):
         recompute on the next request.
         """
         self._logit_cache.clear()
-        self._weights_version = None
         self._logit_key_prefix = None
 
     def submit(
@@ -594,50 +573,15 @@ class InferenceServer(StatsSource):
             cache=self.cache.stats(),
             logit_cache=self._logit_cache.stats(),
             latency=latency,
-            trace=self._trace_cache.stats() if self._trace_cache is not None else None,
         )
 
     def recent_traces(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
         """Most-recent-first span dicts of completed requests (bounded ring)."""
         return self._trace_log.snapshot(limit)
 
-    @property
-    def trace_cache(self) -> Optional["TraceCache"]:
-        """The compiled-program cache (``None`` on an eager-only server)."""
-        return self._trace_cache
-
     # ------------------------------------------------------------------ #
     # Worker
     # ------------------------------------------------------------------ #
-    def _compiled_logits(self, graph_fp: str, graph, cache) -> Optional[np.ndarray]:
-        """Replay (compiling on first sight) the traced program for a graph.
-
-        Runs on the worker thread, which owns the model — tracing performs
-        one ordinary eager forward under a thread-local recorder, so it is
-        exactly as safe as the eager path it replaces.  Returns ``None``
-        when the model cannot be traced (or a program fails to replay); the
-        caller answers through the eager path and the failure is counted.
-        In ``"auto"`` mode a failed key is remembered and never retried;
-        ``"trace"`` retries on every miss.
-        """
-        trace_key = f"{self._logit_key_prefix[0]}/{graph_fp}"
-        if self.compile_mode == "auto" and trace_key in self._broken_traces:
-            return None
-        program = self._trace_cache.get(trace_key)
-        if program is not None and program.weights_version != self._weights_version:
-            # Hot-swapped weights (e.g. a warmed spill from an older
-            # artifact): recompile rather than serve stale logits.
-            program = None
-        try:
-            if program is None:
-                program = self._trace_cache.compile_and_store(self.model, graph, cache)
-            return program.run(cache=cache, model=self.model)
-        except Exception:  # any compile/replay failure degrades to eager
-            self._trace_cache.note_fallback()
-            if self.compile_mode == "auto":
-                self._broken_traces.add(trace_key)
-            return None
-
     def _apply_swap(self, swap: GraphSwapTicket, *, defer_retire: bool = False) -> None:
         """Worker-side (or stopped-server inline) application of one swap.
 
@@ -691,15 +635,12 @@ class InferenceServer(StatsSource):
 
     def _retire_fingerprint(self, old_fp: str) -> Dict[str, int]:
         """Surgically drop every cache entry keyed by ``old_fp``."""
-        invalidated = {
+        return {
             "operator": self.cache.invalidate_graph(old_fp),
             "logits": self._logit_cache.discard_where(
                 lambda key: isinstance(key, tuple) and bool(key) and key[-1] == old_fp
             ),
         }
-        if self._trace_cache is not None:
-            invalidated["traces"] = self._trace_cache.invalidate_graph(old_fp)
-        return invalidated
 
     def _finish_retire(self, marker: _RetireMarker) -> None:
         """Process a drained :class:`_RetireMarker`: invalidate, then resolve."""
@@ -772,26 +713,25 @@ class InferenceServer(StatsSource):
                 # (e.g. SGC's num_steps) change the forward output without
                 # changing any weight, same as preprocess_key does for the
                 # operator cache.
-                logits = None
-                if self.cache_logits and self._logit_key_prefix is not None:
-                    logits = self._logit_cache.get((*self._logit_key_prefix, key))
-                if logits is None:
-                    cache = self.cache.preprocess(self.model, graph)
-                    if self._weights_version is None:
+                logits = cache = None
+                if self.cache_logits:
+                    if self._logit_key_prefix is None:
                         # All lazily-built modules exist after preprocess, so
-                        # the state dict now covers every weight.
-                        self._weights_version = state_fingerprint(self.model.state_dict())
+                        # the state dict now covers every weight.  Known
+                        # before the first lookup, the key can hit logits
+                        # warmed from a spill directory.
+                        cache = self.cache.preprocess(self.model, graph)
                         self._logit_key_prefix = (
                             self.model.signature(),
-                            self._weights_version,
+                            state_fingerprint(self.model.state_dict()),
                         )
+                    logits = self._logit_cache.get((*self._logit_key_prefix, key))
+                if logits is None:
+                    if cache is None:
+                        cache = self.cache.preprocess(self.model, graph)
                     cache_done = time.perf_counter()
-                    logits = None
-                    if self._trace_cache is not None:
-                        logits = self._compiled_logits(key, graph, cache)
-                    path = "compiled" if logits is not None else "eager"
-                    if logits is None:
-                        logits = self.model.predict_logits(graph, cache)
+                    logits = self.model.predict_logits(graph, cache)
+                    path = "eager"
                     forwards += 1
                     if self.cache_logits:
                         # Full-graph tickets alias this array; freeze it so a

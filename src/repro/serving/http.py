@@ -47,13 +47,13 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs.prometheus import escape_label_value, render_prometheus
+from ..obs.stats import Stats, StatsSource
 from .engine import ServerOverloaded
 from .router import ShardRouter, UnknownShard
-from .stats import Stats, StatsSource
 
 #: default bind address; loopback because nothing here authenticates.
 DEFAULT_HOST = "127.0.0.1"
@@ -81,11 +81,41 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+#: node ids index int64 rows, so no id outside ``[0, 2**63)`` names a node.
+_NODE_ID_BOUND = 1 << 63
+
 #: routes counted by name; anything else folds into one bucket so a scan
 #: of random paths cannot blow up the stats (or /metrics) cardinality.
 KNOWN_ROUTES = ("/predict", "/health", "/shards", "/stats", "/metrics", "/traces")
 
 _OTHER_ROUTE = "<other>"
+
+
+def parse_predict_body(body: bytes) -> Tuple[Optional[List[int]], Optional[str]]:
+    """Validate a ``/predict`` body into ``(node_ids, shard)``.
+
+    Both front doors (this module's and :mod:`repro.cluster.serve`) parse
+    through here, so they reject the same requests.  Raises
+    :class:`ValueError` with the client-facing message of the 400 answer.
+    """
+    try:
+        payload = json.loads(body.decode("utf-8")) if body else {}
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(f"body is not valid JSON: {error}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("body must be a JSON object")
+    node_ids = payload.get("node_ids")
+    if node_ids is not None and not (
+        isinstance(node_ids, list)
+        and all(isinstance(node, int) and not isinstance(node, bool) for node in node_ids)
+    ):
+        raise ValueError("node_ids must be a list of integers")
+    if node_ids and not all(0 <= node < _NODE_ID_BOUND for node in node_ids):
+        raise ValueError("node_ids must lie in [0, 2**63)")
+    shard = payload.get("shard")
+    if shard is not None and not isinstance(shard, str):
+        raise ValueError("shard must be a string")
+    return node_ids, shard
 
 
 @dataclass
@@ -532,21 +562,9 @@ class HttpServer(BaseHttpServer):
 
     async def _handle_predict(self, *, query: str, body: bytes) -> Tuple[int, object]:
         try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            return 400, {"error": f"body is not valid JSON: {error}"}
-        if not isinstance(payload, dict):
-            return 400, {"error": "body must be a JSON object"}
-
-        node_ids = payload.get("node_ids")
-        if node_ids is not None:
-            if not isinstance(node_ids, list) or not all(
-                isinstance(node, int) and not isinstance(node, bool) for node in node_ids
-            ):
-                return 400, {"error": "node_ids must be a list of integers"}
-        shard = payload.get("shard")
-        if shard is not None and not isinstance(shard, str):
-            return 400, {"error": "shard must be a string"}
+            node_ids, shard = parse_predict_body(body)
+        except ValueError as error:
+            return 400, {"error": str(error)}
 
         # Resolve before paying for a back-pressure slot so an unknown
         # shard is a routing error (404), never an overload signal.

@@ -19,9 +19,11 @@ Two submission paths share that pool:
     future completed from the worker thread.
 
 All shards share one :class:`OperatorCache` and one logit LRU.  The logit
-entries are keyed by (weights version, graph fingerprint), so hot-swapped
-re-trains of the same architecture on the same graph serve side by side
-without stale hits.
+entries are keyed by (model signature, weights version, graph fingerprint),
+so hot-swapped re-trains of the same architecture on the same graph serve
+side by side without stale hits.  :meth:`ShardRouter.spill` and
+:meth:`ShardRouter.warm` carry both caches through one directory, so a
+fresh process starts with the preprocess and the forward already paid.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from ..graph.delta import GraphDelta
 from ..graph.digraph import DirectedGraph
 from ..models.base import NodeClassifier
 from ..obs.histogram import HistogramStats
+from ..obs.stats import Stats, StatsSource
 from .artifacts import ModelArtifact, restore_model
 from .cache import LRUCache, OperatorCache
 from .engine import (
@@ -49,8 +52,6 @@ from .engine import (
     ServerOverloaded,
     ServerStats,
 )
-from .stats import Stats, StatsSource
-from .trace import COMPILE_MODES, TraceCache, TraceCacheStats
 
 PathLike = Union[str, Path]
 
@@ -94,9 +95,6 @@ class RouterStats(Stats):
     #: router-wide request latency: the per-shard engine histograms merged
     #: bucket-by-bucket, so the quantiles cover every shard's traffic.
     latency: HistogramStats = field(default_factory=HistogramStats)
-    #: counters of the trace cache shared by every shard (``None`` when
-    #: the router serves eagerly).
-    trace: Optional[TraceCacheStats] = None
 
     @property
     def p50_latency_ms(self) -> float:
@@ -136,23 +134,10 @@ class ShardRouter(StatsSource):
         logit_cache_capacity: int = DEFAULT_LOGIT_CAPACITY,
         operator_cache: Optional[OperatorCache] = None,
         engine_max_pending: Optional[int] = None,
-        compile: str = "auto",
-        trace_cache: Optional[TraceCache] = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if compile not in COMPILE_MODES:
-            raise ValueError(
-                f"unknown compile mode {compile!r}; expected one of {COMPILE_MODES}"
-            )
         self.max_pending = max_pending
-        self.compile_mode = compile
-        # One trace cache for the whole router, like the operator cache:
-        # compiled programs are keyed by (signature, graph fingerprint) and
-        # versioned by weights, so shards can never collide.
-        if trace_cache is None and compile != "eager":
-            trace_cache = TraceCache()
-        self._trace_cache = trace_cache if compile != "eager" else None
         self._engine_kwargs = {
             "max_batch_size": max_batch_size,
             "max_wait_ms": max_wait_ms,
@@ -160,8 +145,6 @@ class ShardRouter(StatsSource):
             # Per-engine in-flight bound on top of the router-wide slots,
             # so one hot shard cannot monopolise the whole front door.
             "max_pending": engine_max_pending,
-            "compile": compile,
-            "trace_cache": self._trace_cache,
         }
         self._operator_cache = operator_cache if operator_cache is not None else OperatorCache()
         self._logit_cache = LRUCache(logit_cache_capacity)
@@ -221,8 +204,6 @@ class ShardRouter(StatsSource):
             # router with more shards than the cache default silently falls
             # back to cold-path latency on every request.
             self._operator_cache.grow(len(self._shards))
-            if self._trace_cache is not None:
-                self._trace_cache.grow(len(self._shards))
             # Seeded after the capacity grows — the other order could evict
             # an existing shard's entry from a cache already at capacity.
             if preprocess_cache is not None:
@@ -317,11 +298,33 @@ class ShardRouter(StatsSource):
         """The preprocess cache shared by every shard (warm/spill target)."""
         return self._operator_cache
 
-    @property
-    def trace_cache(self) -> Optional[TraceCache]:
-        """The compiled-program cache shared by every shard (warm/spill
-        target); ``None`` when the router serves eagerly."""
-        return self._trace_cache
+    def spill(self, directory: PathLike) -> Dict[str, int]:
+        """Persist both shared caches into ``directory``.
+
+        Operator and logit entries share the directory; each file's spill
+        meta names its cache (see :meth:`LRUCache.spill`).  Returns the
+        number of files written per cache.
+        """
+        return {
+            "operators": self._operator_cache.spill(directory),
+            "logits": self._logit_cache.spill(directory, "logits"),
+        }
+
+    def warm(self, directory: PathLike) -> Dict[str, int]:
+        """Reload what :meth:`spill` wrote; returns the entries per cache.
+
+        Call it before registering artifacts, so their restores hit the
+        warmed preprocess entries.  A warmed logit entry serves only the
+        model signature, weights version and graph fingerprint it was
+        computed for, so a stale spill is never served.
+        """
+        warmed = {
+            "operators": self._operator_cache.warm(directory),
+            "logits": self._logit_cache.warm(directory, "logits"),
+        }
+        for _, logits in self._logit_cache.entries():
+            logits.setflags(write=False)  # as the engine freezes what it stores
+        return warmed
 
     def shards(self) -> List[ShardInfo]:
         with self._lock:
@@ -342,7 +345,6 @@ class ShardRouter(StatsSource):
             max_pending=self.max_pending,
             shards=shard_stats,
             latency=HistogramStats.merged(s.latency for s in shard_stats.values()),
-            trace=self._trace_cache.stats() if self._trace_cache is not None else None,
         )
 
     def recent_traces(self, limit: Optional[int] = 50) -> List[Dict[str, object]]:

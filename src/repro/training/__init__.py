@@ -5,9 +5,6 @@ from .experiment import (
     average_rank,
     format_results_table,
     rank_results,
-    run_model_suite,
-    run_repeated,
-    run_single,
 )
 from .sparsity import (
     SPARSITY_KINDS,
@@ -22,9 +19,6 @@ __all__ = [
     "Trainer",
     "TrainResult",
     "ExperimentResult",
-    "run_single",
-    "run_repeated",
-    "run_model_suite",
     "rank_results",
     "average_rank",
     "format_results_table",

@@ -1,22 +1,20 @@
-"""Repeated-trial experiment helpers (deprecated shims).
+"""Repeated-trial results and the paper's rank/table helpers.
 
 The paper repeats every experiment 10 times and reports mean ± std.  That
-protocol now lives in the typed :mod:`repro.api` surface —
+protocol lives in the typed :mod:`repro.api` surface —
 :meth:`repro.api.GraphHandle.fit_repeated` for one cell and
-:meth:`repro.api.Session.experiment` for a full sweep.  The free functions
-here (``run_single`` / ``run_repeated`` / ``run_model_suite``) are kept as
-:class:`DeprecationWarning` shims that delegate to the new executor and
-return the legacy :class:`ExperimentResult` shape.
+:meth:`repro.api.Session.experiment` for a full sweep.  The sparsity
+sweeps read their cells in the :class:`ExperimentResult` shape, which
+carries every run's full :class:`TrainResult`.
 
-The rank/table helpers at the bottom are not deprecated; they also accept
-the typed :class:`repro.api.ExperimentReport` cells (same attributes).
+The rank/table helpers accept :class:`ExperimentResult` cells and the
+typed :class:`repro.api.ExperimentReport` cells alike (same attributes).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,14 +50,6 @@ class ExperimentResult:
         )
 
 
-def _warn_deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.training.experiment.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def _repeated_impl(
     model_name: str,
     graph: DirectedGraph,
@@ -67,7 +57,7 @@ def _repeated_impl(
     trainer: Optional[Trainer],
     model_kwargs: Optional[Dict],
 ) -> ExperimentResult:
-    """Non-warning delegation target shared by the shims and sparsity sweeps."""
+    """One repeated cell through :func:`repro.api.experiment.execute_repeated`."""
     # Imported lazily: repro.api sits above the training layer, so a
     # module-level import here would be circular.
     from ..api.experiment import execute_repeated
@@ -87,62 +77,6 @@ def _repeated_impl(
         val_mean=report.val_mean,
         runs=list(results),
     )
-
-
-def run_single(
-    model_name: str,
-    graph: DirectedGraph,
-    seed: int = 0,
-    trainer: Optional[Trainer] = None,
-    model_kwargs: Optional[Dict] = None,
-) -> TrainResult:
-    """Deprecated: use ``Session.from_graph(graph).fit(model_name, ...)``."""
-    _warn_deprecated("run_single", "repro.api GraphHandle.fit")
-    from ..api.experiment import execute_single
-
-    return execute_single(
-        model_name, graph, seed=seed, trainer=trainer, model_kwargs=model_kwargs
-    )
-
-
-def run_repeated(
-    model_name: str,
-    graph: DirectedGraph,
-    seeds: Sequence[int] = (0, 1, 2),
-    trainer: Optional[Trainer] = None,
-    model_kwargs: Optional[Dict] = None,
-) -> ExperimentResult:
-    """Deprecated: use ``Session.from_graph(graph).fit_repeated(model_name)``.
-
-    Note the legacy default of three seeds; the new surface defaults to the
-    paper's ten-trial protocol (:data:`repro.api.DEFAULT_SEEDS`).
-    """
-    _warn_deprecated("run_repeated", "repro.api GraphHandle.fit_repeated")
-    return _repeated_impl(model_name, graph, seeds, trainer, model_kwargs)
-
-
-def run_model_suite(
-    model_names: Iterable[str],
-    graph: DirectedGraph,
-    seeds: Sequence[int] = (0, 1, 2),
-    trainer: Optional[Trainer] = None,
-    model_kwargs: Optional[Dict[str, Dict]] = None,
-) -> List[ExperimentResult]:
-    """Deprecated: use ``Session.experiment`` with a :class:`SweepSpec`."""
-    _warn_deprecated("run_model_suite", "repro.api Session.experiment")
-    model_kwargs = model_kwargs or {}
-    results = []
-    for name in model_names:
-        results.append(
-            _repeated_impl(
-                name,
-                graph,
-                seeds,
-                trainer,
-                model_kwargs.get(name, model_kwargs.get(name.lower())),
-            )
-        )
-    return results
 
 
 def rank_results(results: Sequence[ExperimentResult]) -> Dict[str, float]:

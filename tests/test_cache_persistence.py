@@ -1,11 +1,11 @@
-"""On-disk operator-cache persistence: spill/warm round trips and CLI wiring."""
+"""On-disk operator/logit-cache persistence: spill/warm round trips and CLI wiring."""
 
 import numpy as np
 import pytest
 
 from repro.api import Session, TrainConfig
 from repro.cli import main as cli_main
-from repro.serving import OperatorCache, ShardRouter
+from repro.serving import LRUCache, OperatorCache, ShardRouter
 from repro.serving.artifacts import restore_model
 from repro.serving.cache import SPILL_FORMAT_VERSION
 
@@ -164,6 +164,39 @@ class TestWarmRestore:
                 warm.predict(node_ids=[0, 1, 2]), handle.predict()[:3]
             )
 
+    def test_warmed_logits_skip_every_forward(self, trained_handles, tmp_path):
+        artifacts = [tmp_path / f"artifact-{index}" for index in range(len(trained_handles))]
+        for handle, directory in zip(trained_handles, artifacts):
+            handle.save(directory)
+
+        def full_logits(router):
+            logits = {}
+            for info in router.shards():
+                ticket = router.submit(shard=info.name)
+                ticket.result(timeout=60)
+                logits[info.name] = ticket.logits
+            return logits
+
+        spilling = Session().serve(*artifacts)
+        with spilling:
+            expected = full_logits(spilling)
+        spill = tmp_path / "spill"
+        count = len(trained_handles)
+        assert spilling.spill(spill) == {"operators": count, "logits": count}
+
+        # Operator and logit files share the directory; each cache loads
+        # only its own kind.
+        assert len(list(spill.glob("*.npz"))) == 2 * count
+        assert OperatorCache().warm(spill) == count
+        assert LRUCache().warm(spill, "logits") == count
+
+        warm = Session().serve(*artifacts, cache_dir=spill)
+        with warm:
+            served = full_logits(warm)
+        for name, shard_stats in warm.stats().shards.items():
+            assert shard_stats.forwards == 0, name
+            np.testing.assert_array_equal(served[name], expected[name])
+
 
 class TestServeBenchCacheDir:
     def test_cli_spills_then_warms(self, trained_handles, tmp_path, capsys):
@@ -182,6 +215,9 @@ class TestServeBenchCacheDir:
         assert cli_main(args) == 0
         second = capsys.readouterr().out
         assert "1 preprocess entry reused at load" in second
+        # The warmed logits answer every request: no preprocess, no forward.
+        assert "/ 0 misses" in second.split("operator cache:")[1].splitlines()[0]
+        assert "forwards: 0" in second
 
 
 _RACE_SCRIPT = """

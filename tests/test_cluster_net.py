@@ -412,7 +412,7 @@ class TestTcpWorkerPool:
         load_args = {
             "artifacts": [artifact],
             "cache_dir": str(supervisor_cache),
-            "serve": {"compile": "eager"},
+            "serve": {},
         }
         with WorkerPool(
             1,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Session, TrainConfig
+from repro.api import HttpConfig, Session, TrainConfig
 from repro.cli import _wait_for_shutdown
 from repro.cluster import serve_cluster
 from repro.obs import parse_prometheus
@@ -113,6 +113,20 @@ class TestFrontDoor:
         )
         assert status == 400
 
+    def test_both_doors_answer_bad_node_ids_with_400(self, stack, artifact):
+        server, _, _ = stack
+        path, _ = artifact
+        bodies = (
+            '{"node_ids": [99999999999999999999999]}',  # overflows int64
+            '{"node_ids": [-1]}',
+            '{"node_ids": [100000]}',  # past texas's last node
+        )
+        with Session().serve_http(path, http=HttpConfig(port=0)) as single:
+            for door in (single, server):
+                for body in bodies:
+                    status, reply = request(door, "POST", "/predict", body)
+                    assert status == 400, (type(door).__name__, body, reply)
+
     def test_unknown_path_is_404(self, stack):
         server, _, _ = stack
         status, _ = request(server, "GET", "/nope")
@@ -156,6 +170,22 @@ class TestAggregation:
     def test_workers_share_one_spilled_cache_dir(self, stack):
         _, _, cache_dir = stack
         assert list(cache_dir.glob("*.npz"))  # someone spilled on load
+
+
+class TestWarmFleet:
+    def test_shutdown_spill_spares_the_next_fleet_its_forward(self, artifact, tmp_path):
+        path, expected = artifact
+        forwards = []
+        for _ in range(2):
+            with serve_cluster([path], workers=1, cache_dir=str(tmp_path), port=0) as server:
+                status, body = request(
+                    server, "POST", "/predict", json.dumps({"node_ids": [0, 1]})
+                )
+                assert status == 200
+                assert json.loads(body)["predictions"] == expected[:2].tolist()
+                _, stats = get_json(server, "/stats")
+                forwards.append(stats["workers"]["w0"]["router"]["shards"]["texas"]["forwards"])
+        assert forwards == [1, 0]
 
 
 class TestResilience:

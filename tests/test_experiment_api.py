@@ -1,7 +1,6 @@
-"""The declarative experiment surface: configs, sweeps, reports, shims, CLI."""
+"""The declarative experiment surface: configs, sweeps, reports, CLI."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +20,8 @@ from repro.api import (
 )
 from repro.cli import main as cli_main
 from repro.datasets import load_dataset
-from repro.training import Trainer, run_model_suite, run_repeated, run_single
+from repro.training import Trainer
+from repro.training.experiment import _repeated_impl
 
 QUICK = ExperimentConfig(seeds=(0, 1), train=TrainConfig(epochs=4, patience=4))
 
@@ -342,45 +342,12 @@ class TestReportProperties:
 
 
 class TestDeprecationShims:
-    def test_run_single_warns_and_matches_fit(self, homophilous_graph, fast_trainer):
-        with pytest.warns(DeprecationWarning, match="fit"):
-            legacy = run_single("MLP", homophilous_graph, seed=0, trainer=fast_trainer)
-        model = Session().from_graph(homophilous_graph).fit(
-            "MLP", train=fast_trainer, seed=0
-        )
-        assert legacy.test_accuracy == model.test_accuracy
-
-    def test_run_repeated_warns_and_matches_fit_repeated(
-        self, homophilous_graph, fast_trainer
-    ):
-        with pytest.warns(DeprecationWarning, match="fit_repeated"):
-            legacy = run_repeated(
-                "MLP", homophilous_graph, seeds=(0, 1), trainer=fast_trainer
-            )
-        report = Session().from_graph(homophilous_graph).fit_repeated(
-            "MLP", seeds=(0, 1), train=fast_trainer
-        )
-        assert legacy.test_mean == report.test_mean
-        assert legacy.test_std == report.test_std
-        assert legacy.val_mean == report.val_mean
-        # The legacy result still carries full TrainResults (with history).
-        assert len(legacy.runs) == 2 and legacy.runs[0].history["loss"]
-
-    def test_run_model_suite_warns_once_per_call(self, homophilous_graph, fast_trainer):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = run_model_suite(
-                ["MLP", "SGC"], homophilous_graph, seeds=(0,), trainer=fast_trainer
-            )
-        assert [r.model for r in results] == ["MLP", "SGC"]
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
+    """The legacy ``ExperimentResult`` cell the old ``run_*`` helpers returned."""
 
     def test_legacy_as_row_carries_val_and_run_detail(
         self, homophilous_graph, fast_trainer
     ):
-        with pytest.warns(DeprecationWarning):
-            result = run_repeated("MLP", homophilous_graph, seeds=(0,), trainer=fast_trainer)
+        result = _repeated_impl("MLP", homophilous_graph, (0,), fast_trainer, None)
         row = result.as_row()
         assert 0.0 <= row["val_mean"] <= 1.0
         assert row["test_accuracies"] == [round(result.runs[0].test_accuracy, 4)]

@@ -15,7 +15,8 @@ import pytest
 from repro.amud import amud_decide
 from repro.datasets import load_dataset
 from repro.graph import to_undirected
-from repro.training import Trainer, run_single
+from repro.api.experiment import execute_single
+from repro.training import Trainer
 
 
 @pytest.fixture(scope="module")
@@ -40,36 +41,38 @@ class TestPaperPropositions:
 
     def test_proposition1_directed_gnn_wins_on_amdirected(self, chameleon, trainer):
         """On a heterophilous directional digraph DirGNN must beat GCN clearly."""
-        gcn = run_single("GCN", to_undirected(chameleon), seed=0, trainer=trainer)
-        dirgnn = run_single("DirGNN", chameleon, seed=0, trainer=trainer)
+        gcn = execute_single("GCN", to_undirected(chameleon), seed=0, trainer=trainer)
+        dirgnn = execute_single("DirGNN", chameleon, seed=0, trainer=trainer)
         assert dirgnn.test_accuracy > gcn.test_accuracy + 0.03
 
     def test_proposition1_undirected_gnn_wins_on_amundirected(self, citeseer, trainer):
         """On a homophilous graph the undirected model must be at least on par."""
-        gcn = run_single("GCN", to_undirected(citeseer), seed=0, trainer=trainer)
-        dirgnn = run_single("DirGNN", citeseer, seed=0, trainer=trainer)
+        gcn = execute_single("GCN", to_undirected(citeseer), seed=0, trainer=trainer)
+        dirgnn = execute_single("DirGNN", citeseer, seed=0, trainer=trainer)
         assert gcn.test_accuracy >= dirgnn.test_accuracy - 0.02
 
     def test_proposition2_undirected_augmentation_hurts_directional_data(self, chameleon, trainer):
         """Feeding the undirected transform to a directed GNN loses accuracy (O2)."""
-        directed_input = run_single("DirGNN", chameleon, seed=0, trainer=trainer)
-        undirected_input = run_single("DirGNN", to_undirected(chameleon), seed=0, trainer=trainer)
+        directed_input = execute_single("DirGNN", chameleon, seed=0, trainer=trainer)
+        undirected_input = execute_single(
+            "DirGNN", to_undirected(chameleon), seed=0, trainer=trainer
+        )
         assert directed_input.test_accuracy > undirected_input.test_accuracy
 
     def test_adpa_competitive_on_amdirected(self, chameleon, trainer):
-        adpa = run_single(
+        adpa = execute_single(
             "ADPA", chameleon, seed=0, trainer=trainer, model_kwargs={"num_steps": 2, "hidden": 32}
         )
-        gcn = run_single("GCN", to_undirected(chameleon), seed=0, trainer=trainer)
+        gcn = execute_single("GCN", to_undirected(chameleon), seed=0, trainer=trainer)
         assert adpa.test_accuracy > gcn.test_accuracy
 
     def test_adpa_competitive_on_amundirected(self, citeseer, trainer):
         """ADPA on the AMUndirected output stays within a few points of GPR-GNN."""
         undirected = to_undirected(citeseer)
-        adpa = run_single(
+        adpa = execute_single(
             "ADPA", undirected, seed=0, trainer=trainer, model_kwargs={"num_steps": 2, "hidden": 32}
         )
-        gpr = run_single("GPRGNN", undirected, seed=0, trainer=trainer)
+        gpr = execute_single("GPRGNN", undirected, seed=0, trainer=trainer)
         assert adpa.test_accuracy > gpr.test_accuracy - 0.1
 
 
@@ -93,7 +96,7 @@ class TestEndToEndWorkflow:
 
     def test_training_reproducibility_end_to_end(self, chameleon):
         trainer = Trainer(epochs=20, patience=10)
-        first = run_single("DirGNN", chameleon, seed=3, trainer=trainer)
-        second = run_single("DirGNN", chameleon, seed=3, trainer=trainer)
+        first = execute_single("DirGNN", chameleon, seed=3, trainer=trainer)
+        second = execute_single("DirGNN", chameleon, seed=3, trainer=trainer)
         assert first.test_accuracy == pytest.approx(second.test_accuracy)
         np.testing.assert_allclose(first.history["loss"], second.history["loss"])

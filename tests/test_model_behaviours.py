@@ -14,7 +14,8 @@ from repro.models import (
     MagNet,
     SGC,
 )
-from repro.training import Trainer, run_single
+from repro.api.experiment import execute_single
+from repro.training import Trainer
 
 
 class TestSpectralMechanisms:
@@ -71,7 +72,7 @@ class TestDecoupledPropagation:
         """Initial residual + identity mapping keep the deep variant trainable:
         an 8-layer GCNII must still clearly beat the majority-class baseline
         under the short smoke-test budget (a plain deep GCN would oversmooth)."""
-        deep = run_single(
+        deep = execute_single(
             "GCNII", homophilous_graph, seed=0, trainer=fast_trainer,
             model_kwargs={"hidden": 16, "num_layers": 8},
         )
@@ -101,10 +102,10 @@ class TestDecoupledPropagation:
 class TestADPABehaviours:
     def test_adpa_deterministic_given_seed(self, heterophilous_graph):
         trainer = Trainer(epochs=10, patience=10)
-        first = run_single("ADPA", heterophilous_graph, seed=7, trainer=trainer,
-                           model_kwargs={"hidden": 16, "num_steps": 2})
-        second = run_single("ADPA", heterophilous_graph, seed=7, trainer=trainer,
-                            model_kwargs={"hidden": 16, "num_steps": 2})
+        first = execute_single("ADPA", heterophilous_graph, seed=7, trainer=trainer,
+                               model_kwargs={"hidden": 16, "num_steps": 2})
+        second = execute_single("ADPA", heterophilous_graph, seed=7, trainer=trainer,
+                                model_kwargs={"hidden": 16, "num_steps": 2})
         assert first.test_accuracy == pytest.approx(second.test_accuracy)
 
     def test_adpa_order_controls_operator_count(self, heterophilous_graph):

@@ -28,6 +28,7 @@ from repro.models import (
     get_spec,
     undirected_models,
 )
+from repro.datasets import load_dataset
 from repro.models.base import NodeClassifier
 from repro.training import Trainer
 
@@ -95,6 +96,21 @@ def _build(model_class, graph, **extra):
     if model_class is not SGC:
         kwargs.setdefault("hidden", 8)
     return model_class.from_graph(graph, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def texas():
+    return load_dataset("texas", seed=0)
+
+
+class TestTapeOffInference:
+    @pytest.mark.parametrize("name", available_models())
+    def test_tape_off_logits_bit_identical_to_taped(self, name, texas):
+        model = create_model(name, texas, seed=0)
+        cache = model.preprocess(texas)
+        taped = model.eval().forward(cache)
+        assert taped.requires_grad  # the reference really recorded a tape
+        assert np.array_equal(model.predict_logits(texas, cache), taped.numpy())
 
 
 class TestForwardShapes:

@@ -1,10 +1,12 @@
 """Tests for the autograd tensor engine, including numerical gradient checks."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.nn import Tensor, concatenate, sparse_matmul, stack, where
+from repro.nn import Tensor, concatenate, no_grad, sparse_matmul, stack, where
 from repro.nn.tensor import _unbroadcast
 
 
@@ -236,3 +238,30 @@ class TestFreeFunctions:
         np.testing.assert_allclose(reduced, np.full(3, 4.0))
         reduced_keepdim = _unbroadcast(grad, (1, 3))
         assert reduced_keepdim.shape == (1, 3)
+
+
+class TestNoGrad:
+    def test_no_grad_is_thread_local(self):
+        weight = Tensor(np.ones((2, 2)), requires_grad=True)
+        inside, release = threading.Event(), threading.Event()
+        untaped = {}
+
+        def inference():
+            with no_grad():
+                untaped["out"] = concatenate([weight @ np.ones((2, 1))], axis=1)
+                inside.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=inference)
+        thread.start()
+        try:
+            assert inside.wait(10)
+            # This thread still records while the other one is inside no_grad().
+            (weight @ np.ones((2, 1))).sum().backward()
+        finally:
+            release.set()
+            thread.join(10)
+        np.testing.assert_allclose(weight.grad, np.ones((2, 2)))
+        out = untaped["out"]
+        assert not out.requires_grad and out._parents == ()
+        np.testing.assert_allclose(out.numpy(), np.full((2, 1), 2.0))

@@ -166,6 +166,37 @@ class TestStatsProtocolNesting:
         assert Source().snapshot() == Source().stats().as_dict()
 
 
+class TestStatsProtocol:
+    def test_every_stats_source_snapshot_matches_as_dict(self, homophilous_graph):
+        from repro.models import create_model
+        from repro.serving import InferenceServer, LRUCache, OperatorCache
+
+        model = create_model("MLP", homophilous_graph, seed=0)
+        server = InferenceServer(model, homophilous_graph)
+        sources = [LRUCache(capacity=2), OperatorCache(), server]
+        for source in sources:
+            assert isinstance(source, StatsSource)
+            assert isinstance(source.stats(), Stats)
+            assert source.snapshot() == source.stats().as_dict()
+
+    def test_server_snapshot_nests_component_dicts(self, homophilous_graph):
+        from repro.models import create_model
+        from repro.serving import InferenceServer
+
+        model = create_model("MLP", homophilous_graph, seed=0)
+        snapshot = InferenceServer(model, homophilous_graph).snapshot()
+        assert snapshot["cache"]["hits"] == 0
+        assert snapshot["logit_cache"]["capacity"] > 0
+
+    def test_lru_entries_lists_pairs(self):
+        from repro.serving import LRUCache
+
+        cache = LRUCache(capacity=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.entries() == [("a", 1), ("b", 2)]
+
+
 class TestRequestTrace:
     def test_spans_sum_to_total(self):
         trace = RequestTrace(started_at=100.0)
@@ -264,7 +295,7 @@ class TestEngineIntegration:
         )
         assert newest["meta"]["outcome"] == "ok"
         assert newest["meta"]["nodes"] == 2
-        assert newest["meta"]["path"] in ("memoised", "compiled", "eager")
+        assert newest["meta"]["path"] in ("memoised", "eager")
 
     def test_operator_cache_records_preprocess_latency(self, homophilous_graph):
         from repro.models.registry import create_model

@@ -1,9 +1,4 @@
-"""The end-to-end AMUD workflow (paper Fig. 1) through ``repro.api``.
-
-The ``AmudPipeline`` facade that used to host this workflow is retired —
-its behaviours live on :class:`repro.api.Session` now, and these tests
-pin both the workflow and the loud retirement of the old entry points.
-"""
+"""The end-to-end AMUD workflow (paper Fig. 1) through ``repro.api``."""
 
 import numpy as np
 import pytest
@@ -101,31 +96,8 @@ class TestWorkflowBranches:
         )
         assert guided.test_accuracy > forced.test_accuracy
 
-
-class TestPipelineRetirement:
-    """The old facade fails loudly and points at the replacement."""
-
-    def test_module_import_raises_with_pointer(self):
-        with pytest.raises(ImportError, match="repro.api.Session"):
-            import repro.pipeline  # noqa: F401
-
-    def test_package_attributes_raise_with_pointer(self):
-        import repro
-
-        with pytest.raises(ImportError, match="repro.api.Session"):
-            repro.AmudPipeline  # noqa: B018
-        with pytest.raises(ImportError, match="repro.api.Session"):
-            repro.PipelineResult  # noqa: B018
-
-    def test_other_missing_attributes_stay_attribute_errors(self):
-        import repro
-
-        with pytest.raises(AttributeError):
-            repro.NotAThing  # noqa: B018
-
     def test_session_predictions_are_deterministic(self, heterophilous_graph):
-        # The retired facade's bit-exactness guarantee carries over: same
-        # seeds, same order of operations, same predictions.
+        # Same seeds, same order of operations, same predictions.
         first = Session(train=QUICK, amud=SGC_OR_DIRGNN).from_graph(
             heterophilous_graph
         ).amud().fit()

@@ -276,11 +276,10 @@ class TestLegacyPipelineArtifacts:
         assert restored.decision.modeling == model.decision.modeling
         assert restored.train_result.test_accuracy == pytest.approx(model.test_accuracy)
 
-    def test_restored_legacy_artifact_compiles(self, heterophilous_graph, tmp_path):
+    def test_restored_legacy_artifact_logits_bitwise(self, heterophilous_graph, tmp_path):
         model = self._write_legacy_artifact(heterophilous_graph, tmp_path / "pipe")
         restored = Session().restore(tmp_path / "pipe")
-        program = restored.compile()
-        np.testing.assert_array_equal(program.run(), model.predict_logits())
+        np.testing.assert_array_equal(restored.predict_logits(), model.predict_logits())
 
 
 class TestPreprocessCachedContract:

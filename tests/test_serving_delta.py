@@ -17,10 +17,8 @@ from repro.serving import (
     LRUCache,
     OperatorCache,
     ShardRouter,
-    TraceCache,
     UnknownShard,
 )
-from repro.serving.fingerprint import preprocess_key
 
 
 def build_graph(seed: int = 0, n: int = 90, name: str = "live") -> DirectedGraph:
@@ -57,16 +55,6 @@ class TestLRUDiscard:
         assert cache.lookup(model, graph_b) is not None
         assert cache.lookup(model, graph_a) is None
 
-    def test_trace_cache_invalidate_graph(self):
-        trace_cache = TraceCache()
-        graph_a, graph_b = build_graph(3), build_graph(4)
-        model = SGC(8, 3, num_steps=1)
-        trace_cache.compile_and_store(model, graph_a)
-        trace_cache.compile_and_store(model, graph_b)
-        assert trace_cache.invalidate_graph(graph_a.fingerprint()) == 1
-        assert trace_cache.get(preprocess_key(model, graph_b)) is not None
-        assert trace_cache.get(preprocess_key(model, graph_a)) is None
-
 
 class TestSwapGraph:
     def test_running_swap_matches_fresh_server(self):
@@ -96,7 +84,7 @@ class TestSwapGraph:
         graph = build_graph(6)
         other = build_graph(7, name="other")
         model = MLPClassifier(8, 3)
-        server = InferenceServer(model, graph, max_wait_ms=0.5, compile="eager")
+        server = InferenceServer(model, graph, max_wait_ms=0.5)
         server.warm()
         server.warm(other)
         with server:
@@ -112,7 +100,7 @@ class TestSwapGraph:
 
     def test_inline_swap_on_stopped_server(self):
         graph = build_graph(8)
-        server = InferenceServer(MLPClassifier(8, 3), graph, compile="eager")
+        server = InferenceServer(MLPClassifier(8, 3), graph)
         swap = server.swap_graph(GraphDelta(add_edges=[[1, 2]]))
         assert swap.done()
         assert server.graph.fingerprint() == swap.new_fingerprint
@@ -121,7 +109,7 @@ class TestSwapGraph:
     def test_empty_delta_keeps_cache_entry(self):
         graph = build_graph(9)
         model = MLPClassifier(8, 3)
-        server = InferenceServer(model, graph, compile="eager")
+        server = InferenceServer(model, graph)
         server.warm()
         swap = server.swap_graph(GraphDelta())
         assert swap.new_fingerprint == swap.old_fingerprint
@@ -130,7 +118,7 @@ class TestSwapGraph:
 
     def test_stop_fails_pending_swap(self):
         graph = build_graph(10)
-        server = InferenceServer(MLPClassifier(8, 3), graph, compile="eager")
+        server = InferenceServer(MLPClassifier(8, 3), graph)
         server.start()
         server.stop()
         # A swap sneaking in after stop applies inline (not running).
@@ -139,7 +127,7 @@ class TestSwapGraph:
 
     def test_failing_delta_resolves_ticket(self):
         graph = build_graph(11)
-        server = InferenceServer(MLPClassifier(8, 3), graph, compile="eager")
+        server = InferenceServer(MLPClassifier(8, 3), graph)
         with server:
             with pytest.raises(ValueError, match="out of range"):
                 server.swap_graph(GraphDelta(add_edges=[[0, 10_000]]), timeout=10)
@@ -161,7 +149,7 @@ class TestExceptionFanOut:
 
         graph = build_graph(12)
         server = InferenceServer(
-            ExplodingModel(), graph, max_wait_ms=20.0, compile="eager"
+            ExplodingModel(), graph, max_wait_ms=20.0
         )
         with server:
             first = server.submit([0])
@@ -185,7 +173,7 @@ class TestRouterUpdateShard:
         graph_b = build_graph(14, name="beta")
         model_a = SGC(8, 3, num_steps=2)
         model_b = SGC(8, 3, num_steps=2)
-        router = ShardRouter(max_wait_ms=0.5, compile="eager")
+        router = ShardRouter(max_wait_ms=0.5)
         router.add_shard(model_a, graph_a)
         router.add_shard(model_b, graph_b)
         with router:
@@ -211,7 +199,7 @@ class TestRouterUpdateShard:
         """Satellite: the router serves 0 errors while a writer mutates."""
         graph = build_graph(15, n=150, name="churn")
         model = SGC(8, 3, num_steps=2)
-        router = ShardRouter(max_wait_ms=0.5, compile="eager")
+        router = ShardRouter(max_wait_ms=0.5)
         router.add_shard(model, graph)
         request_errors = []
         swap_records = []

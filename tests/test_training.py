@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.models import create_model
 from repro.training import (
     SPARSITY_KINDS,
@@ -12,11 +13,15 @@ from repro.training import (
     format_results_table,
     format_sparsity_table,
     rank_results,
-    run_model_suite,
-    run_repeated,
-    run_single,
     sparsity_sweep,
 )
+from repro.training.experiment import _repeated_impl
+
+
+def _cells(names, graph, trainer):
+    """One single-seed repeated cell per model, as the rank helpers read them."""
+    handle = Session().from_graph(graph)
+    return [handle.fit_repeated(name, seeds=(0,), train=trainer) for name in names]
 
 
 class TestTrainer:
@@ -73,46 +78,29 @@ class TestTrainer:
 
 
 class TestExperimentHelpers:
-    def test_run_single_seed_controls_model(self, homophilous_graph, fast_trainer):
-        a = run_single("MLP", homophilous_graph, seed=0, trainer=fast_trainer)
-        b = run_single("MLP", homophilous_graph, seed=0, trainer=fast_trainer)
-        assert a.test_accuracy == pytest.approx(b.test_accuracy)
-
-    def test_run_repeated_aggregates(self, homophilous_graph, fast_trainer):
-        result = run_repeated("MLP", homophilous_graph, seeds=(0, 1), trainer=fast_trainer)
-        assert result.model == "MLP"
-        assert result.dataset == homophilous_graph.name
-        assert len(result.runs) == 2
-        expected_mean = np.mean([run.test_accuracy for run in result.runs])
-        assert result.test_mean == pytest.approx(expected_mean)
-
-    def test_run_model_suite(self, homophilous_graph, fast_trainer):
-        results = run_model_suite(["MLP", "SGC"], homophilous_graph, seeds=(0,), trainer=fast_trainer)
-        assert [result.model for result in results] == ["MLP", "SGC"]
-
     def test_rank_results(self, homophilous_graph, fast_trainer):
-        results = run_model_suite(["MLP", "SGC"], homophilous_graph, seeds=(0,), trainer=fast_trainer)
+        results = _cells(["MLP", "SGC"], homophilous_graph, fast_trainer)
         ranks = rank_results(results)
         assert set(ranks.values()) == {1.0, 2.0}
         best_model = max(results, key=lambda result: result.test_mean).model
         assert ranks[best_model] == 1.0
 
     def test_average_rank(self, homophilous_graph, heterophilous_graph, fast_trainer):
-        suite_a = run_model_suite(["MLP", "SGC"], homophilous_graph, seeds=(0,), trainer=fast_trainer)
-        suite_b = run_model_suite(["MLP", "SGC"], heterophilous_graph, seeds=(0,), trainer=fast_trainer)
+        suite_a = _cells(["MLP", "SGC"], homophilous_graph, fast_trainer)
+        suite_b = _cells(["MLP", "SGC"], heterophilous_graph, fast_trainer)
         averaged = average_rank([suite_a, suite_b])
         assert set(averaged) == {"MLP", "SGC"}
         assert all(1.0 <= value <= 2.0 for value in averaged.values())
 
     def test_format_results_table(self, homophilous_graph, fast_trainer):
-        results = run_model_suite(["MLP"], homophilous_graph, seeds=(0,), trainer=fast_trainer)
+        results = _cells(["MLP"], homophilous_graph, fast_trainer)
         table = format_results_table({homophilous_graph.name: results})
         assert "MLP" in table
         assert homophilous_graph.name in table
         assert "Rank" in table
 
     def test_result_as_row(self, homophilous_graph, fast_trainer):
-        result = run_repeated("MLP", homophilous_graph, seeds=(0,), trainer=fast_trainer)
+        result = _repeated_impl("MLP", homophilous_graph, (0,), fast_trainer, None)
         row = result.as_row()
         assert row["model"] == "MLP"
         assert 0.0 <= row["test_mean"] <= 1.0
