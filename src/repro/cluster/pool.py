@@ -73,7 +73,7 @@ DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 #: default respawn budget per worker slot.
 DEFAULT_MAX_RESTARTS = 3
 
-#: how long a respawned worker may take to replay its init ops.
+#: how long a starting or respawned worker may take to replay its init ops.
 DEFAULT_INIT_TIMEOUT = 300.0
 
 #: how long a remote slot waits for a worker to connect back (first spawn
@@ -237,7 +237,12 @@ class _Worker:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def spawn(self) -> None:
-        """Acquire a transport and its reader; replay the pool's init ops."""
+        """Launch a fresh worker and replay the pool's init ops into it."""
+        self.launch()
+        self.pool._init([self])
+
+    def launch(self) -> None:
+        """Acquire a transport and start its reader (no op is sent)."""
         transport = self.launcher.launch(self)
         with self.lock:
             self.transport = transport
@@ -250,11 +255,6 @@ class _Worker:
         )
         self.reader = reader
         reader.start()
-        for op, args in self.pool.init_ops:
-            future = self.send(op, args)
-            future.result(timeout=self.pool.init_timeout)
-        self.last_active = time.monotonic()
-        self.healthy = True
 
     def kill(self) -> None:
         """Force the worker down; the reader thread handles the fallout.
@@ -391,7 +391,9 @@ class WorkerPool(StatsSource):
 
     ``init_ops`` is a list of ``(op, args)`` pairs replayed into every
     fresh worker — at first spawn and after every restart — which is how
-    serving workers re-``load`` their artifacts after a crash.  The pool
+    serving workers re-``load`` their artifacts after a crash.  At
+    :meth:`start` every worker runs them at once; if any worker fails,
+    the whole fleet is killed and the error re-raised.  The pool
     is a context manager; ``stop()`` shuts workers down politely and
     kills stragglers.
 
@@ -501,13 +503,21 @@ class WorkerPool(StatsSource):
         self._started = True
         self._stopping = False
         try:
+            # Launches stay one at a time: a connect-back slot takes the
+            # next registration off the shared listener, so only one slot
+            # may be waiting for one.  The init ops (a serving ``load``)
+            # are the slow part, and every worker runs them at once.
             for worker in self._workers:
-                worker.spawn()
+                worker.launch()
+            self._init(self._workers)
         except BaseException:
             self._stopping = True
             for worker in self._workers:
                 worker.kill()
                 worker.launcher.close()
+            for worker in self._workers:
+                if worker.transport is not None:
+                    worker.transport.wait_closed(5.0)  # reap: no zombies
             if self.listener is not None:
                 self.listener.stop()
             raise
@@ -674,6 +684,22 @@ class WorkerPool(StatsSource):
         with self._lock:
             self._id_counter += 1
             return self._id_counter
+
+    def _init(self, workers: Sequence[_Worker]) -> None:
+        """Replay the init ops into launched ``workers``, then mark them healthy.
+
+        Each op goes to every worker before any answer is awaited, so the
+        workers run it side by side under one ``init_timeout`` deadline.
+        """
+        deadline = time.monotonic() + self.init_timeout
+        for op, args in self.init_ops:
+            futures = [worker.send(op, args) for worker in workers]
+            for future in futures:
+                future.result(timeout=max(0.0, deadline - time.monotonic()))
+        ready = time.monotonic()
+        for worker in workers:
+            worker.last_active = ready
+            worker.healthy = True
 
     def _pick(self, name: Optional[str]) -> _Worker:
         with self._lock:

@@ -1,8 +1,11 @@
 """Persistence for :class:`DirectedGraph` objects.
 
 Graphs (adjacency, features, labels, splits and metadata) are stored in a
-single compressed ``.npz`` file so that expensive generator outputs or
+single uncompressed ``.npz`` file so that expensive generator outputs or
 externally converted datasets can be cached on disk and reloaded exactly.
+Members are stored, not deflated: float features barely compress, and an
+artifact's graph is read on every restore.  Files written compressed by
+earlier versions load all the same.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def save_graph(graph: DirectedGraph, path: PathLike) -> Path:
         mask = getattr(graph, mask_name)
         if mask is not None:
             arrays[mask_name] = mask
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
     return path
 
 

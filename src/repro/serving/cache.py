@@ -387,6 +387,12 @@ def _spill_filename(key: str) -> str:
 def _atomic_savez(path: Path, payload: Dict[str, np.ndarray]) -> None:
     """Write an ``.npz`` payload so readers never observe a partial file.
 
+    The payload is stored, not deflated: float features barely compress
+    (about 5% on an ADPA spill), and a warm start would pay the inflate
+    on every file, which costs several times the read and more than
+    recomputing the preprocess.  ``np.load`` reads either layout, so
+    directories spilled compressed keep warming.
+
     Concurrent workers spill into one shared directory without any
     coordination step, so two processes can decide to write the same key at
     the same time.  A plain ``savez`` on the final path would let ``warm()``
@@ -401,7 +407,7 @@ def _atomic_savez(path: Path, payload: Dict[str, np.ndarray]) -> None:
     )
     try:
         with os.fdopen(handle, "wb") as stream:
-            np.savez_compressed(stream, **payload)
+            np.savez(stream, **payload)
         os.replace(tmp_name, path)
     except BaseException:
         try:

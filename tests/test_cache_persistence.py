@@ -1,10 +1,13 @@
 """On-disk operator/logit-cache persistence: spill/warm round trips and CLI wiring."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.api import Session, TrainConfig
 from repro.cli import main as cli_main
+from repro.graph.io import load_graph
 from repro.serving import LRUCache, OperatorCache, ShardRouter
 from repro.serving.artifacts import restore_model
 from repro.serving.cache import SPILL_FORMAT_VERSION
@@ -41,6 +44,48 @@ class TestSpillWarm:
                 handle.model.predict_logits(handle.graph, entry),
                 handle.predict_logits(),
             )
+
+        # A router's spill files and an artifact's graph are stored, not
+        # deflated; files in the deflated layout earlier versions wrote
+        # still warm and load bit-identically.
+        artifacts = [tmp_path / f"artifact-{index}" for index in range(len(trained_handles))]
+        for handle, directory in zip(trained_handles, artifacts):
+            handle.save(directory)
+
+        def served_logits(router):
+            logits = {}
+            with router:
+                for info in router.shards():
+                    ticket = router.submit(shard=info.name)
+                    ticket.result(timeout=60)
+                    logits[info.name] = ticket.logits
+            return logits
+
+        spilling = Session().serve(*artifacts)
+        expected = served_logits(spilling)
+        spill = tmp_path / "router-spill"
+        spilling.spill(spill)
+        written = sorted(spill.glob("*.npz")) + [d / "graph.npz" for d in artifacts]
+        assert len(written) == 3 * len(trained_handles)
+        for path in written:
+            with zipfile.ZipFile(path) as archive:
+                methods = {member.compress_type for member in archive.infolist()}
+            assert methods == {zipfile.ZIP_STORED}, path
+            with np.load(path, allow_pickle=False) as data:
+                arrays = {name: data[name] for name in data.files}
+            np.savez_compressed(path, **arrays)
+
+        for handle, directory in zip(trained_handles, artifacts):
+            graph = load_graph(directory / "graph.npz")
+            assert graph.fingerprint() == handle.graph.fingerprint()
+            np.testing.assert_array_equal(graph.labels, handle.graph.labels)
+            np.testing.assert_array_equal(graph.train_mask, handle.graph.train_mask)
+        warm = Session().serve(*artifacts, cache_dir=spill)
+        served = served_logits(warm)
+        assert warm.operator_cache.stats().misses == 0
+        for name, shard_stats in warm.stats().shards.items():
+            assert shard_stats.forwards == 0, name
+            np.testing.assert_array_equal(served[name], expected[name])
 
     def test_spill_skips_existing_files(self, trained_handles, tmp_path):
         cache = OperatorCache()

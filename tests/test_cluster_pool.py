@@ -131,6 +131,31 @@ class TestDispatch:
         assert snapshot["workers"]["w0"]["alive"] is True
 
 
+class TestStart:
+    def test_workers_run_their_init_ops_concurrently(self):
+        pool = WorkerPool(2, init_ops=[("sleep", {"seconds": 3.0})])
+        started = time.monotonic()
+        pool.start()
+        try:
+            elapsed = time.monotonic() - started
+            # One after the other, the fleet would take two sleeps plus two
+            # interpreter starts.
+            assert elapsed < 6.0, elapsed
+            assert pool.healthy_workers() == ["w0", "w1"]
+        finally:
+            pool.stop()
+
+    def test_failed_init_kills_every_worker(self, tmp_path):
+        missing = str(tmp_path / "no-such-artifact")
+        pool = WorkerPool(2, init_ops=[("load", {"artifacts": [missing]})])
+        with pytest.raises(RemoteError):
+            pool.start()
+        workers = pool.stats().workers
+        assert set(workers) == {"w0", "w1"}
+        assert all(entry["alive"] is False for entry in workers.values()), workers
+        assert pool.healthy_workers() == []
+
+
 class TestSupervision:
     def test_crash_restarts_the_worker(self):
         with WorkerPool(1, heartbeat_interval=0.2) as pool:
