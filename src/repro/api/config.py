@@ -191,9 +191,8 @@ class ServeConfig:
     max_wait_ms: float = 2.0
     cache_logits: bool = True
     logit_cache_capacity: int = 32
-    #: bound on each engine's request queue (``None`` = unbounded).
-    max_pending: Optional[int] = None
-    #: cap on in-flight requests across all shards of one router.
+    #: cap on in-flight requests across all shards of one router: the only
+    #: admission bound (the HTTP front doors answer overflow with 429).
     router_max_pending: int = 256
     #: optional HTTP front-door settings; ``Session.serve_http`` uses the
     #: defaults when this is ``None``.
@@ -212,8 +211,6 @@ class ServeConfig:
             raise ValueError(
                 f"logit_cache_capacity must be >= 1, got {self.logit_cache_capacity}"
             )
-        if self.max_pending is not None and self.max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1 or None, got {self.max_pending}")
         if self.router_max_pending < 1:
             raise ValueError(f"router_max_pending must be >= 1, got {self.router_max_pending}")
 
@@ -224,7 +221,6 @@ class ServeConfig:
             "max_wait_ms": self.max_wait_ms,
             "cache_logits": self.cache_logits,
             "logit_cache_capacity": self.logit_cache_capacity,
-            "max_pending": self.max_pending,
         }
 
     def router_kwargs(self) -> Dict[str, object]:
@@ -235,7 +231,6 @@ class ServeConfig:
             "max_wait_ms": self.max_wait_ms,
             "cache_logits": self.cache_logits,
             "logit_cache_capacity": self.logit_cache_capacity,
-            "engine_max_pending": self.max_pending,
         }
 
     def replace(self, **changes) -> "ServeConfig":

@@ -133,12 +133,7 @@ def _op_load(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:
     if state.router is not None:
         state.router.stop()
         state.router = None
-    serve_kwargs = dict(args.get("serve") or {})
-    if isinstance(serve_kwargs.get("http"), dict):
-        from ..api.config import HttpConfig
-
-        serve_kwargs["http"] = HttpConfig(**serve_kwargs["http"])
-    config = ServeConfig(**serve_kwargs)
+    config = ServeConfig(**(args.get("serve") or {}))
     cache_dir = args.get("cache_dir")
     if state.warm_dir is not None:
         # Connect-back workers never trust a supervisor path: the pool may

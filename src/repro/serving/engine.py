@@ -51,7 +51,11 @@ _STOP = object()
 
 
 class ServerOverloaded(RuntimeError):
-    """Raised when a bounded request queue rejects a non-blocking submit."""
+    """Raised when the :class:`repro.serving.ShardRouter` slot pool is full.
+
+    The router's slot pool is the only admission bound: an engine admits
+    every request it is handed.
+    """
 
 
 def _clone_exception(error: BaseException) -> BaseException:
@@ -296,14 +300,11 @@ class InferenceServer(StatsSource):
         cache_logits: bool = True,
         logit_cache_capacity: int = 8,
         logit_cache: Optional[LRUCache] = None,
-        max_pending: Optional[int] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1 (or None), got {max_pending}")
         self.model = model.eval()
         self.graph = graph
         self.cache = operator_cache if operator_cache is not None else OperatorCache()
@@ -325,16 +326,8 @@ class InferenceServer(StatsSource):
         self._logit_key_prefix: Optional[Tuple[str, str]] = None
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_ms / 1000.0
-        self.max_pending = max_pending
-        # Back-pressure is a semaphore over *in-flight* tickets (queued or
-        # being processed), released on completion — not a bounded queue.
-        # A bounded queue would make submit() block inside put() while
-        # holding the lifecycle lock, stalling stop() and other submitters'
-        # block=False fast path; the queue itself stays unbounded so the
-        # stop sentinel can always be enqueued.
-        self._capacity = (
-            None if max_pending is None else threading.BoundedSemaphore(max_pending)
-        )
+        # Unbounded, so submit() never blocks under the lifecycle lock and
+        # the stop sentinel can always be enqueued.
         self._queue: "queue.Queue" = queue.Queue()
         self._worker: Optional[threading.Thread] = None
         self._running = False
@@ -404,9 +397,9 @@ class InferenceServer(StatsSource):
                     # both alone (start() will refuse until it exits).
                     return
                 self._worker = None
-            # The worker exits at the sentinel, but tickets enqueued before
-            # it (or left behind by an early stop_after_batch exit) would
-            # otherwise block their clients forever; fail them instead.
+            # The worker exits at the sentinel, but a retire marker it
+            # enqueued behind the sentinel (or tickets a crashed worker
+            # never reached) must still resolve, not block their clients.
             while True:
                 try:
                     leftover = self._queue.get_nowait()
@@ -497,47 +490,32 @@ class InferenceServer(StatsSource):
         self,
         node_ids: Optional[Sequence[int]] = None,
         graph: Optional[DirectedGraph] = None,
-        *,
-        block: bool = True,
-        timeout: Optional[float] = None,
     ) -> InferenceTicket:
         """Enqueue a prediction request for a node subset (``None`` = all).
 
-        With ``max_pending`` set, at most that many tickets may be in
-        flight (queued or being processed); a saturated server blocks the
-        caller (back-pressure) until a ticket completes — pass
-        ``block=False`` or a ``timeout`` to get :class:`ServerOverloaded`
-        instead of waiting.
+        Never waits: the engine admits every request, and the
+        :class:`repro.serving.ShardRouter` slot pool is the only admission
+        bound.  ``node_ids`` must be a 1-D sequence of non-negative
+        integers; anything else raises :class:`ValueError` here.
         """
-        ids = None if node_ids is None else np.asarray(node_ids, dtype=np.int64)
-        if ids is not None and ids.size and ids.min() < 0:
-            # Negative ids would wrap via fancy indexing and silently return
-            # another node's prediction; reject them at the door instead.
-            raise ValueError(f"node_ids must be non-negative, got min {ids.min()}")
+        ids = None
+        if node_ids is not None:
+            ids = np.asarray(node_ids)
+            # These would be answered wrongly instead of failing: floats
+            # truncate, booleans become ids 0/1, a 2-D array returns a matrix.
+            if ids.ndim != 1:
+                raise ValueError(f"node_ids must be 1-D, got shape {ids.shape}")
+            if ids.size and not np.issubdtype(ids.dtype, np.integer):
+                raise ValueError(f"node_ids must be integers, got dtype {ids.dtype}")
+            ids = ids.astype(np.int64, copy=False)
+            if ids.size and ids.min() < 0:
+                # Negative ids would wrap and return another node's answer.
+                raise ValueError(f"node_ids must be non-negative, got min {ids.min()}")
         ticket = InferenceTicket(ids, graph if graph is not None else self.graph)
-        # Capacity is claimed *outside* the lifecycle lock so a blocked
-        # submitter never stalls stop() or another caller's fast path.
-        if self._capacity is not None:
-            acquired = self._capacity.acquire(
-                blocking=block, timeout=timeout if block else None
-            )
-            if not acquired:
-                raise ServerOverloaded(
-                    f"server is at capacity ({self.max_pending} requests in flight)"
-                )
-        try:
-            with self._lifecycle_lock:
-                if not self._running:
-                    raise RuntimeError("InferenceServer is not running; call start() first")
-                self._queue.put(ticket)  # unbounded: never blocks under the lock
-        except BaseException:
-            if self._capacity is not None:
-                self._capacity.release()
-            raise
-        if self._capacity is not None:
-            # Fires on the worker thread at completion (or immediately if
-            # the ticket already resolved).
-            ticket.add_done_callback(lambda _ticket: self._capacity.release())
+        with self._lifecycle_lock:
+            if not self._running:
+                raise RuntimeError("InferenceServer is not running; call start() first")
+            self._queue.put(ticket)
         return ticket
 
     def predict(
@@ -548,11 +526,10 @@ class InferenceServer(StatsSource):
     ) -> np.ndarray:
         """Blocking convenience wrapper around :meth:`submit`.
 
-        ``timeout`` bounds each phase separately: the capacity wait of a
-        bounded server (:class:`ServerOverloaded` on expiry) and then the
-        wait for the prediction itself.
+        ``timeout`` bounds the wait for the prediction; submitting never
+        waits.
         """
-        return self.submit(node_ids, graph, timeout=timeout).result(timeout)
+        return self.submit(node_ids, graph).result(timeout)
 
     def stats(self) -> ServerStats:
         with self._metrics_lock:
@@ -652,45 +629,33 @@ class InferenceServer(StatsSource):
             swap._fail(error)
 
     def _serve_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                break
+        item = self._queue.get()
+        while item is not _STOP:
+            closer = None
             if isinstance(item, GraphSwapTicket):
                 self._apply_swap(item, defer_retire=True)
-                continue
-            if isinstance(item, _RetireMarker):
+            elif isinstance(item, _RetireMarker):
                 self._finish_retire(item)
-                continue
-            batch = [item]
-            deadline = time.perf_counter() + self.max_wait_seconds
-            stop_after_batch = False
-            pending_control = None
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    stop_after_batch = True
-                    break
-                if isinstance(nxt, (GraphSwapTicket, _RetireMarker)):
-                    # Close the batch: tickets behind the swap/marker see
-                    # the post-control state, tickets ahead of it the old
-                    # one (FIFO order).
-                    pending_control = nxt
-                    break
-                batch.append(nxt)
-            self._process_batch(batch)
-            if isinstance(pending_control, GraphSwapTicket):
-                self._apply_swap(pending_control, defer_retire=True)
-            elif isinstance(pending_control, _RetireMarker):
-                self._finish_retire(pending_control)
-            if stop_after_batch:
-                break
+            else:
+                # A swap, retire marker or the stop sentinel closes the
+                # batch and is handled next, so tickets ahead of it see the
+                # old state and tickets behind it the new one (FIFO order).
+                batch = [item]
+                deadline = time.perf_counter() + self.max_wait_seconds
+                while len(batch) < self.max_batch_size:
+                    remaining = deadline - time.perf_counter()
+                    if remaining <= 0:
+                        break
+                    try:
+                        nxt = self._queue.get(timeout=remaining)
+                    except queue.Empty:
+                        break
+                    if not isinstance(nxt, InferenceTicket):
+                        closer = nxt
+                        break
+                    batch.append(nxt)
+                self._process_batch(batch)
+            item = closer if closer is not None else self._queue.get()
 
     def _process_batch(self, batch: List[InferenceTicket]) -> None:
         # One shared timestamp closes every ticket's queue span: they all

@@ -4,7 +4,8 @@ One :class:`repro.serving.engine.InferenceServer` serves one loaded
 artifact.  :class:`ShardRouter` scales that to many: each registered shard
 binds a trained model to the graph it serves, requests are routed by
 fingerprinting their graph (or by explicit shard name), and a bounded
-front-door slot pool applies back-pressure across all shards.
+front-door slot pool applies back-pressure across all shards.  That pool
+is the only admission bound: the engines behind it admit every request.
 
 Two submission paths share that pool:
 
@@ -133,7 +134,6 @@ class ShardRouter(StatsSource):
         cache_logits: bool = True,
         logit_cache_capacity: int = DEFAULT_LOGIT_CAPACITY,
         operator_cache: Optional[OperatorCache] = None,
-        engine_max_pending: Optional[int] = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -142,9 +142,6 @@ class ShardRouter(StatsSource):
             "max_batch_size": max_batch_size,
             "max_wait_ms": max_wait_ms,
             "cache_logits": cache_logits,
-            # Per-engine in-flight bound on top of the router-wide slots,
-            # so one hot shard cannot monopolise the whole front door.
-            "max_pending": engine_max_pending,
         }
         self._operator_cache = operator_cache if operator_cache is not None else OperatorCache()
         self._logit_cache = LRUCache(logit_cache_capacity)
@@ -450,8 +447,10 @@ class ShardRouter(StatsSource):
         """Route one request and return the owning engine's ticket.
 
         A front-door slot is held from submission until the ticket
-        completes; at ``max_pending`` in-flight requests further submits
-        block (``block=True``) or raise :class:`ServerOverloaded`.
+        completes.  The slot pool is the only admission bound: at
+        ``max_pending`` in-flight requests further submits wait for a slot
+        (``block=True``, for at most ``timeout`` seconds) or raise
+        :class:`ServerOverloaded`.
         """
         info = self._resolve(graph, shard)
         if not self._slots.acquire(blocking=block, timeout=timeout if block else None):
@@ -464,17 +463,9 @@ class ShardRouter(StatsSource):
                 f"router is at capacity ({self.max_pending} requests in flight)"
             )
         try:
-            # Forward the caller's waiting policy: with a per-engine
-            # max_pending, a saturated shard must honour block=False /
-            # timeout= too, not fall back to an unbounded wait.
-            ticket = info.engine.submit(node_ids, graph, block=block, timeout=timeout)
-        except BaseException as error:
+            ticket = info.engine.submit(node_ids, graph)
+        except BaseException:
             self._slots.release()
-            if isinstance(error, ServerOverloaded):
-                # An engine at capacity is an overload signal too, same as
-                # a saturated front door.
-                with self._lock:
-                    self._rejected += 1
             raise
         ticket.add_done_callback(lambda _ticket: self._slots.release())
         with self._lock:
@@ -491,9 +482,9 @@ class ShardRouter(StatsSource):
     ) -> np.ndarray:
         """Blocking convenience wrapper around :meth:`submit`.
 
-        ``timeout`` bounds each phase separately: slot acquisition on a
-        saturated front door (:class:`ServerOverloaded` on expiry) and then
-        the wait for the prediction itself.
+        ``timeout`` bounds each phase separately: the wait for a front-door
+        slot, the only admission wait (:class:`ServerOverloaded` on
+        expiry), and then the wait for the prediction itself.
         """
         return self.submit(node_ids, graph, shard=shard, timeout=timeout).result(timeout)
 

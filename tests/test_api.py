@@ -10,7 +10,7 @@ import pytest
 from repro.api import AmudConfig, ModelHandle, ServeConfig, Session, TrainConfig, width_kwargs
 from repro.api.session import decision_to_dict, train_result_to_dict
 from repro.cli import main as cli_main
-from repro.serving import save_model
+from repro.serving import ShardRouter, save_model
 from repro.training import Trainer
 
 QUICK = TrainConfig(epochs=5, patience=5)
@@ -53,9 +53,10 @@ class TestConfigs:
         assert TrainConfig.from_trainer(config.build_trainer()) == config
 
     def test_serve_config_kwargs_cover_engine_and_router(self):
-        config = ServeConfig(max_batch_size=8, max_wait_ms=1.0, max_pending=4)
-        assert config.engine_kwargs()["max_pending"] == 4
-        assert config.router_kwargs()["max_pending"] == config.router_max_pending
+        config = ServeConfig(max_batch_size=8, max_wait_ms=1.0, router_max_pending=4)
+        assert config.engine_kwargs()["max_wait_ms"] == 1.0
+        assert config.router_kwargs()["max_pending"] == 4
+        assert ShardRouter(**config.router_kwargs()).max_pending == 4
 
     def test_width_kwargs_sgc_special_case(self):
         assert width_kwargs("SGC", 64) == {}

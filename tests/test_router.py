@@ -246,27 +246,6 @@ class TestBackPressure:
             # Completed tickets released their slots: the door is open again.
             router.predict(node_ids=[0], shard="slow", timeout=30)
 
-    def test_router_forwards_waiting_policy_to_engine_bound(self):
-        """block=False/timeout= must reach a saturated shard's own semaphore,
-        not fall back to an unbounded wait behind a free front-door slot."""
-        graph = load_dataset("texas", seed=0)
-        model = SlowModel(graph.num_features, graph.num_classes)
-        router = ShardRouter(max_pending=16, engine_max_pending=1, max_wait_ms=0.0)
-        router.add_shard(model, graph, name="slow")
-        with router:
-            held = router.submit(node_ids=[0], shard="slow")
-            assert model.entered.wait(timeout=30)  # engine slot is owned
-            with pytest.raises(ServerOverloaded, match="at capacity"):
-                router.submit(node_ids=[1], shard="slow", block=False)
-            with pytest.raises(ServerOverloaded, match="at capacity"):
-                router.submit(node_ids=[2], shard="slow", timeout=0.05)
-            # Engine-level rejections count as front-door overload too, and
-            # their router slots were given back.
-            assert router.stats().rejected == 2
-            model.release.set()
-            held.result(timeout=30)
-            router.predict(node_ids=[0], shard="slow", timeout=30)
-
     def test_raising_done_callback_is_contained(self, capsys):
         """A broken callback must not re-fail the ticket, skip later
         callbacks, or kill the worker (asubmit into a closed loop does this)."""
@@ -286,55 +265,6 @@ class TestBackPressure:
         # stop() joined the worker, so both callbacks have definitely fired.
         assert seen == [True]
         assert "boom" in capsys.readouterr().err
-
-    def test_engine_in_flight_bound_overload(self):
-        graph = load_dataset("texas", seed=0)
-        model = SlowModel(graph.num_features, graph.num_classes)
-        server = InferenceServer(
-            model, graph, max_batch_size=1, max_wait_ms=0.0, max_pending=1
-        )
-        with server:
-            in_worker = server.submit(node_ids=[0])
-            assert model.entered.wait(timeout=30)  # worker owns the one slot
-            with pytest.raises(ServerOverloaded, match="at capacity"):
-                server.submit(node_ids=[1], block=False)
-            with pytest.raises(ServerOverloaded, match="at capacity"):
-                server.submit(node_ids=[2], timeout=0.05)
-            model.release.set()
-            in_worker.result(timeout=30)
-            # Completion released the slot; the server accepts requests again.
-            server.predict(node_ids=[0], timeout=30)
-
-    def test_engine_stop_not_stalled_by_saturated_submitters(self):
-        """A blocked submit() must not hold the lifecycle lock: stop() has
-        to stay responsive while callers wait on back-pressure."""
-        graph = load_dataset("texas", seed=0)
-        model = SlowModel(graph.num_features, graph.num_classes)
-        server = InferenceServer(
-            model, graph, max_batch_size=1, max_wait_ms=0.0, max_pending=1
-        )
-        server.start()
-        held = server.submit(node_ids=[0])
-        assert model.entered.wait(timeout=30)
-        blocked_outcome = []
-
-        def blocked_submit():
-            try:
-                blocked_outcome.append(server.submit(node_ids=[1], timeout=10))
-            except BaseException as error:
-                blocked_outcome.append(error)
-
-        waiter = threading.Thread(target=blocked_submit)
-        waiter.start()
-        model.release.set()  # let the held request finish so stop() can join
-        server.stop(timeout=30)
-        waiter.join(timeout=30)
-        assert not waiter.is_alive()
-        held.result(timeout=30)
-        # The parked submitter either got through before shutdown (its
-        # ticket then resolved or was failed by the drain) or was refused
-        # because the server had stopped — never left hanging.
-        assert len(blocked_outcome) == 1
 
 
 class TestWeightsVersionedLogitCache:

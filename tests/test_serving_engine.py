@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.graph import GraphDelta
 from repro.models import create_model
-from repro.serving import InferenceServer, save_model
+from repro.models.base import NodeClassifier
+from repro.serving import InferenceServer, ShardRouter, restore_model, save_model
 from repro.training import Trainer
 
 
@@ -25,19 +27,83 @@ def trained_export(tmp_path_factory):
     return directory, graph, model.predict_logits(graph).argmax(axis=1)
 
 
+class GatedModel(NodeClassifier):
+    """Wraps a trained model; every forward waits until ``release`` is set.
+
+    Holding the worker inside its first forward lets a test queue requests
+    behind it deterministically, and the wrapped model's own logits are the
+    expected answers.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner.num_features, inner.num_classes)
+        self.inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def preprocess(self, graph):
+        return self.inner.preprocess(graph)
+
+    def forward(self, cache):
+        self.entered.set()
+        assert self.release.wait(timeout=30)
+        return self.inner.forward(cache)
+
+
+def _held_server(directory):
+    """An uncached server whose worker is parked inside a first forward."""
+    model, _, _, graph = restore_model(directory)
+    gated = GatedModel(model)
+    server = InferenceServer(gated, graph, cache_logits=False)
+    return server, gated, model, graph
+
+
 class TestInferenceServer:
     def test_coalesces_concurrent_requests(self, trained_export):
-        directory, graph, expected = trained_export
-        server, _ = InferenceServer.from_artifact(directory, max_wait_ms=5.0)
+        directory, _, _ = trained_export
+        server, gated, model, graph = _held_server(directory)
+        expected = model.predict_logits(graph)
+        requests = [[i % graph.num_nodes, (7 * i) % graph.num_nodes] for i in range(20)]
         with server:
-            tickets = [server.submit(node_ids=[i % graph.num_nodes]) for i in range(50)]
-            for index, ticket in enumerate(tickets):
-                node = index % graph.num_nodes
-                np.testing.assert_array_equal(ticket.result(timeout=30), expected[[node]])
+            first = server.submit(node_ids=[0])
+            assert gated.entered.wait(timeout=30)
+            tickets = [server.submit(node_ids=ids) for ids in requests]
+            gated.release.set()
+            first.result(timeout=30)
+            for ids, ticket in zip(requests, tickets):
+                ticket.result(timeout=30)
+                np.testing.assert_array_equal(ticket.logits, expected[ids])
         stats = server.stats()
-        assert stats.requests == 50
-        assert stats.batches < stats.requests  # coalescing happened
-        assert stats.forwards <= stats.batches
+        # Everything that queued during the first forward shared one batch.
+        assert stats.requests == 21
+        assert stats.batches == 2 and stats.forwards == 2
+
+    def test_swap_closes_the_batch(self, trained_export):
+        directory, _, _ = trained_export
+        server, gated, model, graph = _held_server(directory)
+        delta = GraphDelta(set_features={0: graph.features[0] + 1.0})
+        new_graph = graph.apply_delta(delta)
+        old_logits = model.predict_logits(graph)
+        new_logits = model.predict_logits(new_graph)
+        assert not np.array_equal(old_logits[0], new_logits[0])
+        with server:
+            server.submit(node_ids=[1])
+            assert gated.entered.wait(timeout=30)
+            requests = [[0, i] for i in range(1, 6)]
+            ahead = [server.submit(node_ids=ids) for ids in requests]
+            swap = server.swap_graph(delta, block=False)
+            behind = [server.submit(node_ids=ids) for ids in requests]
+            gated.release.set()
+            assert swap.result(timeout=30).fingerprint() == new_graph.fingerprint()
+            # The swap closed the batch: [held], [ahead], then [behind].
+            assert server.stats().batches == 3
+            # Both groups bound the old graph at submit.
+            for ids, ticket in zip(requests + requests, ahead + behind):
+                ticket.result(timeout=30)
+                np.testing.assert_array_equal(ticket.logits, old_logits[ids])
+            late = server.submit(node_ids=[0, 1])
+            late.result(timeout=30)
+            np.testing.assert_array_equal(late.logits, new_logits[[0, 1]])
 
     def test_full_graph_request(self, trained_export):
         directory, graph, expected = trained_export
@@ -77,9 +143,21 @@ class TestInferenceServer:
     def test_negative_node_ids_rejected_at_submit(self, trained_export):
         directory, _, _ = trained_export
         server, _ = InferenceServer.from_artifact(directory)
-        with server:
-            with pytest.raises(ValueError, match="non-negative"):
-                server.submit(node_ids=[0, -3])
+        router = ShardRouter.from_artifacts([directory])
+        rejected = {
+            "non-negative": [0, -3],
+            "dtype float64": [1.7, 2.9],
+            "dtype bool": [True, False],
+            r"shape \(2, 2\)": [[0, 1], [2, 3]],
+        }
+        with server, router:
+            for match, node_ids in rejected.items():
+                with pytest.raises(ValueError, match=match):
+                    server.submit(node_ids=node_ids)
+                with pytest.raises(ValueError, match=match):
+                    router.predict(node_ids=node_ids)
+            # numpy types an empty list float64; it is still a valid request.
+            assert server.predict(node_ids=[]).shape == (0,)
 
     def test_warm_only_before_start(self, trained_export):
         directory, graph, _ = trained_export
