@@ -13,21 +13,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.datasets import load_dataset
 from repro.graph import to_undirected
 
 from conftest import bench_seeds, bench_trainer
-from helpers import print_banner, run_repeated_cell
+from helpers import print_banner
 
 UNDIRECTED_MODELS = ("GCN", "GPRGNN")
 DIRECTED_MODELS = ("DiGCN", "DirGNN")
 
 
 def _mean_accuracy(model_names, graph, seeds, trainer):
+    handle = Session().from_graph(graph)
     return float(
         np.mean(
             [
-                run_repeated_cell(name, graph, seeds, trainer).test_mean
+                handle.fit_repeated(name, seeds=seeds, train=trainer).test_mean
                 for name in model_names
             ]
         )

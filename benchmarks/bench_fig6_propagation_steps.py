@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.datasets import load_dataset
 from repro.graph import to_undirected
 
 from conftest import FULL_PROTOCOL, bench_seeds, bench_trainer
-from helpers import print_banner, run_repeated_cell
+from helpers import print_banner
 
 DATASETS = {"citeseer": False, "chameleon": True} if not FULL_PROTOCOL else {
     "coraml": False, "citeseer": False, "actor": False,
@@ -35,7 +36,7 @@ def build_fig6():
     curves = {}
     for dataset_name, amud_directed in DATASETS.items():
         graph = load_dataset(dataset_name, seed=0)
-        view = graph if amud_directed else to_undirected(graph)
+        handle = Session().from_graph(graph if amud_directed else to_undirected(graph))
         per_model = {}
         for model_name, depth_key in MODELS.items():
             series = []
@@ -43,9 +44,7 @@ def build_fig6():
                 kwargs = {depth_key: depth}
                 if model_name == "ADPA":
                     kwargs["hidden"] = 64
-                result = run_repeated_cell(
-                    model_name, view, seeds, trainer, model_kwargs=kwargs
-                )
+                result = handle.fit_repeated(model_name, seeds=seeds, train=trainer, **kwargs)
                 series.append(result.test_mean)
             per_model[model_name] = series
         curves[dataset_name] = per_model

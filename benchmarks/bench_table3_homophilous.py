@@ -14,7 +14,6 @@ import pytest
 
 from repro.datasets import TABLE3_DATASETS
 from repro.models import get_spec
-from repro.training import average_rank
 
 from conftest import FULL_PROTOCOL, bench_model_subset
 from helpers import print_banner, run_accuracy_table, write_bench_json
@@ -28,8 +27,7 @@ def build_table3():
     return run_accuracy_table(models, DATASETS, amud_directed=False)
 
 
-def check_table3_shape(table):
-    ranks = average_rank(list(table.values()))
+def check_table3_shape(ranks):
     undirected = [rank for name, rank in ranks.items()
                   if name != "ADPA" and not get_spec(name).is_directed]
     directed = [rank for name, rank in ranks.items()
@@ -46,4 +44,4 @@ def test_table3_homophilous_accuracy(benchmark):
     print_banner("Table III — accuracy on homophilous (AMUndirected) datasets")
     print(report.as_table())
     write_bench_json("table3", report.as_dict())
-    check_table3_shape(report.by_dataset())
+    check_table3_shape(report.ranks())

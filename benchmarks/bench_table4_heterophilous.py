@@ -14,7 +14,6 @@ import pytest
 
 from repro.datasets import TABLE4_DATASETS
 from repro.models import get_spec
-from repro.training import average_rank
 
 from conftest import FULL_PROTOCOL, bench_model_subset
 from helpers import print_banner, run_accuracy_table, write_bench_json
@@ -27,8 +26,7 @@ def build_table4():
     return run_accuracy_table(models, DATASETS, amud_directed=True)
 
 
-def check_table4_shape(table):
-    ranks = average_rank(list(table.values()))
+def check_table4_shape(ranks):
     undirected = [rank for name, rank in ranks.items()
                   if name != "ADPA" and not get_spec(name).is_directed]
     directed = [rank for name, rank in ranks.items()
@@ -45,4 +43,4 @@ def test_table4_heterophilous_accuracy(benchmark):
     print_banner("Table IV — accuracy on heterophilous (AMDirected) datasets")
     print(report.as_table())
     write_bench_json("table4", report.as_dict())
-    check_table4_shape(report.by_dataset())
+    check_table4_shape(report.ranks())

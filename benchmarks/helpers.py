@@ -16,11 +16,9 @@ stay a thin shell over the same surface the CLI and library expose.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.api import Session, SweepReport, SweepSpec
-from repro.graph import DirectedGraph
-from repro.training import Trainer
 
 from conftest import bench_experiment_config
 
@@ -53,32 +51,6 @@ def run_accuracy_table(
 ) -> SweepReport:
     """Fill a full (model × dataset) accuracy table via ``Session.experiment``."""
     return Session().experiment(paper_table_spec(model_names, dataset_names, amud_directed))
-
-
-def run_repeated_cell(
-    model_name: str,
-    graph: DirectedGraph,
-    seeds: Sequence[int],
-    trainer: Trainer,
-    model_kwargs: Optional[Dict] = None,
-):
-    """Repeated-seed helper for benchmarks that drive explicit graph views.
-
-    A thin wrapper over the :mod:`repro.api` executor (the figure
-    benchmarks sweep hand-built views, which a dataset-name spec cannot
-    express); returns the typed :class:`repro.api.ExperimentReport`.
-    """
-    from repro.api.experiment import execute_repeated
-
-    report, _ = execute_repeated(
-        model_name,
-        graph,
-        seeds=seeds,
-        train=trainer,
-        model_kwargs=model_kwargs,
-        max_workers=None,
-    )
-    return report
 
 
 def print_banner(title: str) -> None:

@@ -8,7 +8,7 @@ Public API highlights
 * :mod:`repro.amud` — the AMUD guidance score and modeling decision.
 * :mod:`repro.adpa` — the ADPA model (DP propagation + hierarchical attention).
 * :mod:`repro.models` — the baseline GNN zoo (undirected & directed).
-* :mod:`repro.training` — trainer, repeated experiments, sparsity sweeps.
+* :mod:`repro.training` — the trainer and the sparsity sweeps.
 * :mod:`repro.api` — **the** public facade: :class:`repro.api.Session`
   with typed handles and frozen configs (load → amud → fit → serve).
 * :mod:`repro.serving` — artifacts, caches, inference engine, shard router.

@@ -3,8 +3,8 @@
 The paper's protocol — repeat every (model, dataset) cell over fixed seeds
 and report mean ± std — is implemented here once, for every caller: the
 typed handles of :mod:`repro.api.session`, the ``repro experiment`` CLI
-sub-command, the benchmark scripts and the deprecated
-:mod:`repro.training.experiment` shims.
+sub-command, the benchmark scripts and the sparsity sweeps of
+:mod:`repro.training.sparsity`.
 
 Runs execute on a bounded thread pool (training is NumPy-heavy, so worker
 threads overlap well).  Determinism is structural, not accidental: every

@@ -7,8 +7,9 @@ these dataclasses are the typed form of that protocol's output:
 * :class:`ExperimentReport` — one experiment cell: the aggregated runs of
   one (model, dataset, variant) triple;
 * :class:`SweepReport` — every cell of one :class:`repro.api.SweepSpec`,
-  with table rendering (:meth:`SweepReport.as_table`) and a versioned JSON
-  form (:meth:`SweepReport.to_json` / :meth:`SweepReport.from_json`).
+  with the Rank column (:meth:`SweepReport.ranks`), table rendering
+  (:meth:`SweepReport.as_table`) and a versioned JSON form
+  (:meth:`SweepReport.to_json` / :meth:`SweepReport.from_json`).
 
 Aggregation is deterministic: runs are ordered by their position in the
 config's seed tuple and cells by the spec's canonical order, independent of
@@ -221,10 +222,14 @@ class ExperimentReport:
             variant=str(payload.get("variant", "")),
         )
 
+    @property
+    def label(self) -> str:
+        """The table row this cell fills: ``model`` or ``model/variant``."""
+        return self.model if not self.variant else f"{self.model}/{self.variant}"
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = self.model if not self.variant else f"{self.model}/{self.variant}"
         return (
-            f"ExperimentReport({label} on {self.dataset}: "
+            f"ExperimentReport({self.label} on {self.dataset}: "
             f"{100 * self.test_mean:.1f}±{100 * self.test_std:.1f})"
         )
 
@@ -253,13 +258,6 @@ class SweepReport:
                 return cell
         raise KeyError(f"no cell for model={model!r} dataset={dataset!r} variant={variant!r}")
 
-    def by_dataset(self) -> Dict[str, List[ExperimentReport]]:
-        """Cells grouped per dataset (the shape the table formatters eat)."""
-        grouped: Dict[str, List[ExperimentReport]] = {}
-        for cell in self.cells:
-            grouped.setdefault(cell.dataset, []).append(cell)
-        return grouped
-
     def as_rows(self) -> List[Dict[str, object]]:
         return [cell.as_row() for cell in self.cells]
 
@@ -270,34 +268,42 @@ class SweepReport:
     # ------------------------------------------------------------------ #
     # Rendering
     # ------------------------------------------------------------------ #
+    def ranks(self) -> Dict[str, float]:
+        """Each row's mean per-dataset rank by test mean (1 = best).
+
+        Rows are labelled as in :meth:`as_table`.  Tied cells share the
+        mean of the positions they span (two cells tied for first both
+        rank 1.5), so the ranks do not depend on the order of the cells.
+        """
+        scores: Dict[str, Dict[str, float]] = {}
+        for cell in self.cells:
+            scores.setdefault(cell.dataset, {})[cell.label] = cell.test_mean
+        positions: Dict[str, List[float]] = {}
+        for by_label in scores.values():
+            values = list(by_label.values())
+            for label, value in by_label.items():
+                better = sum(other > value for other in values)
+                tied = sum(other == value for other in values)
+                positions.setdefault(label, []).append(better + (tied + 1) / 2.0)
+        return {label: float(np.mean(ranks)) for label, ranks in positions.items()}
+
     def as_table(self, include_rank: bool = True) -> str:
         """Fixed-width ``row × dataset`` table of ``mean±std`` cells.
 
         Rows are models, or ``model/variant`` when the sweep has named
-        variants; the Rank column averages each row's per-dataset rank by
-        test mean (1 = best), as in the paper's tables.
+        variants; the Rank column is :meth:`ranks`, as in the paper's
+        tables.
         """
         datasets: List[str] = []
         labels: List[str] = []
         lookup: Dict[Tuple[str, str], ExperimentReport] = {}
         for cell in self.cells:
-            label = cell.model if not cell.variant else f"{cell.model}/{cell.variant}"
             if cell.dataset not in datasets:
                 datasets.append(cell.dataset)
-            if label not in labels:
-                labels.append(label)
-            lookup[(label, cell.dataset)] = cell
-
-        ranks: Dict[str, List[float]] = {}
-        for dataset in datasets:
-            scored = [
-                (label, lookup[(label, dataset)].test_mean)
-                for label in labels
-                if (label, dataset) in lookup
-            ]
-            ordered = sorted(scored, key=lambda pair: pair[1], reverse=True)
-            for position, (label, _) in enumerate(ordered, start=1):
-                ranks.setdefault(label, []).append(float(position))
+            if cell.label not in labels:
+                labels.append(cell.label)
+            lookup[(cell.label, cell.dataset)] = cell
+        ranks = self.ranks() if include_rank else {}
 
         header = ["Model"] + datasets + (["Rank"] if include_rank else [])
         lines = ["  ".join(f"{column:>16s}" for column in header)]
@@ -310,8 +316,7 @@ class SweepReport:
                 else:
                     cells.append(f"{100 * cell.test_mean:13.1f}±{100 * cell.test_std:.1f}")
             if include_rank:
-                mean_rank = float(np.mean(ranks[label])) if ranks.get(label) else float("nan")
-                cells.append(f"{mean_rank:>16.1f}")
+                cells.append(f"{ranks[label]:>16.1f}")
             lines.append("  ".join(cells))
         return "\n".join(lines)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .config import (
     SweepSpec,
     TrainConfig,
 )
-from .experiment import execute_repeated, run_sweep
+from .experiment import _resolve_trainer, execute_repeated, run_sweep
 from .report import ExperimentReport, SweepReport
 
 PathLike = Union[str, Path]
@@ -333,6 +333,25 @@ class GraphHandle:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
+    def _select_model(
+        self, model: Optional[str], amud: Optional[AmudConfig]
+    ) -> Tuple["GraphHandle", str]:
+        """The handle to train on and the registry name to train there.
+
+        ``model=None`` follows the AMUD guidance (see :meth:`fit`); an
+        explicit name keeps this handle and must be a registry name.
+        """
+        if model is not None:
+            get_spec(model)  # unknown names fail before any training work
+            return self, model
+        amud_config = (
+            amud
+            if amud is not None
+            else (self.amud_config if self.amud_config is not None else self.session.amud_config)
+        )
+        handle = self if self.decision is not None else self.amud(amud_config)
+        return handle, amud_config.model_for(handle.decision.keep_directed)
+
     def fit(
         self,
         model: Optional[str] = None,
@@ -352,24 +371,8 @@ class GraphHandle:
         ``train`` accepts a frozen :class:`TrainConfig` or a pre-built
         :class:`Trainer` (legacy call sites).
         """
-        handle = self
-        amud_config = (
-            amud
-            if amud is not None
-            else (self.amud_config if self.amud_config is not None else self.session.amud_config)
-        )
-        if model is None:
-            if handle.decision is None:
-                handle = handle.amud(amud_config)
-            model = amud_config.model_for(handle.decision.keep_directed)
-        else:
-            get_spec(model)  # unknown names fail before any training work
-
-        if isinstance(train, Trainer):
-            trainer = train
-        else:
-            config = train if train is not None else self.session.train_config
-            trainer = config.build_trainer()
+        handle, model = self._select_model(model, amud)
+        trainer = _resolve_trainer(train if train is not None else self.session.train_config)
 
         kwargs = dict(model_kwargs)
         kwargs.setdefault("seed", self.session.seed if seed is None else seed)
@@ -404,18 +407,7 @@ class GraphHandle:
         a pre-built :class:`Trainer`.  Runs execute on a bounded worker
         pool; aggregation is bit-identical to serial execution.
         """
-        handle = self
-        amud_config = (
-            amud
-            if amud is not None
-            else (self.amud_config if self.amud_config is not None else self.session.amud_config)
-        )
-        if model is None:
-            if handle.decision is None:
-                handle = handle.amud(amud_config)
-            model = amud_config.model_for(handle.decision.keep_directed)
-        else:
-            get_spec(model)
+        handle, model = self._select_model(model, amud)
 
         if config is None:
             config = ExperimentConfig(train=self.session.train_config)

@@ -12,9 +12,7 @@ from .operators import (
     normalized_laplacian,
     num_patterns_for_order,
     personalized_pagerank_adjacency,
-    propagation_operators,
     row_normalized,
-    second_order_patterns,
     symmetric_normalized_adjacency,
     SECOND_ORDER_PATTERN_NAMES,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "normalized_laplacian",
     "row_normalized",
     "directed_pattern_operators",
-    "second_order_patterns",
-    "propagation_operators",
     "num_patterns_for_order",
     "magnetic_laplacian",
     "personalized_pagerank_adjacency",

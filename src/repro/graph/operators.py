@@ -94,6 +94,23 @@ def normalized_laplacian(adjacency: sp.spmatrix, self_loops: bool = True) -> sp.
 SECOND_ORDER_PATTERN_NAMES: Tuple[str, ...] = ("A", "At", "AA", "AtAt", "AAt", "AtA")
 
 
+def drop_diagonal(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """``matrix`` without its diagonal and explicit zeros, as canonical CSR.
+
+    Duplicate entries are summed first (on a copy); one vectorised mask
+    then keeps the entries off the diagonal whose value is non-zero.
+    """
+    matrix = sp.csr_matrix(matrix, copy=True)
+    matrix.sum_duplicates()
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    keep = (rows != matrix.indices) & (matrix.data != 0)
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return sp.csr_matrix(
+        (matrix.data[keep], matrix.indices[keep], kept_before[matrix.indptr]),
+        shape=matrix.shape,
+    )
+
+
 def _binarize(matrix: sp.spmatrix, remove_self_loops: bool = True) -> sp.csr_matrix:
     """Clip weights to {0, 1} and optionally drop the diagonal.
 
@@ -103,12 +120,7 @@ def _binarize(matrix: sp.spmatrix, remove_self_loops: bool = True) -> sp.csr_mat
     """
     matrix = sp.csr_matrix(matrix)
     matrix.data = np.ones_like(matrix.data)
-    if remove_self_loops:
-        matrix = matrix.tolil()
-        matrix.setdiag(0)
-        matrix = matrix.tocsr()
-        matrix.eliminate_zeros()
-    return matrix
+    return drop_diagonal(matrix) if remove_self_loops else matrix
 
 
 def directed_pattern_operators(
@@ -152,37 +164,11 @@ def directed_pattern_operators(
     return operators
 
 
-def second_order_patterns(adjacency: sp.spmatrix, binarize: bool = True) -> Dict[str, sp.csr_matrix]:
-    """The six DP operators used by AMUD and the default ADPA configuration."""
-    return directed_pattern_operators(adjacency, order=2, binarize=binarize)
-
-
 def num_patterns_for_order(order: int) -> int:
     """The paper's ``k`` for an N-hop neighbourhood: ``2 + 4 + … + 2ᴺ``."""
     if order < 1:
         raise ValueError(f"DP order must be >= 1, got {order}")
     return sum(2 ** i for i in range(1, order + 1))
-
-
-def propagation_operators(
-    adjacency: sp.spmatrix,
-    order: int = 2,
-    self_loops: bool = True,
-) -> Dict[str, sp.csr_matrix]:
-    """Row-normalised DP operators ready for weight-free feature propagation.
-
-    Each DP operator is augmented with self-loops (so a node always keeps a
-    share of its own signal) and row-normalised, which keeps propagated
-    features on the same scale regardless of degree — the stability trick
-    ADPA shares with SGC/SIGN-style decoupled models.
-    """
-    operators = directed_pattern_operators(adjacency, order=order, binarize=True)
-    prepared: Dict[str, sp.csr_matrix] = {}
-    for name, matrix in operators.items():
-        if self_loops:
-            matrix = add_self_loops(matrix)
-        prepared[name] = row_normalized(matrix)
-    return prepared
 
 
 # ---------------------------------------------------------------------- #

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .digraph import DirectedGraph
+from .operators import drop_diagonal
 
 
 def to_undirected(graph: DirectedGraph) -> DirectedGraph:
@@ -31,11 +32,7 @@ def to_undirected(graph: DirectedGraph) -> DirectedGraph:
 
 def remove_self_loops(graph: DirectedGraph) -> DirectedGraph:
     """Drop diagonal entries from the adjacency."""
-    adjacency = graph.adjacency.tolil()
-    adjacency.setdiag(0)
-    adjacency = adjacency.tocsr()
-    adjacency.eliminate_zeros()
-    return graph.with_(adjacency=adjacency)
+    return graph.with_(adjacency=drop_diagonal(graph.adjacency))
 
 
 def add_self_loops(graph: DirectedGraph) -> DirectedGraph:

@@ -1,11 +1,5 @@
-"""Training harness: trainer, repeated experiments and sparsity sweeps."""
+"""Training harness: the trainer and the sparsity sweeps of Fig. 7."""
 
-from .experiment import (
-    ExperimentResult,
-    average_rank,
-    format_results_table,
-    rank_results,
-)
 from .sparsity import (
     SPARSITY_KINDS,
     SparsityPoint,
@@ -18,10 +12,6 @@ from .trainer import Trainer, TrainResult
 __all__ = [
     "Trainer",
     "TrainResult",
-    "ExperimentResult",
-    "rank_results",
-    "average_rank",
-    "format_results_table",
     "SparsityPoint",
     "SPARSITY_KINDS",
     "apply_sparsity",

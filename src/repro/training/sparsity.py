@@ -13,14 +13,16 @@ is retrained at every level:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..graph.digraph import DirectedGraph
 from ..graph.transforms import sparsify_edges, sparsify_features, sparsify_labels
-from .experiment import ExperimentResult, _repeated_impl
 from .trainer import Trainer
+
+if TYPE_CHECKING:
+    from ..api.report import ExperimentReport
 
 SPARSITY_KINDS = ("feature", "edge", "label")
 
@@ -31,7 +33,7 @@ class SparsityPoint:
 
     kind: str
     level: float
-    result: ExperimentResult
+    result: ExperimentReport
 
 
 def apply_sparsity(
@@ -60,18 +62,23 @@ def sparsity_sweep(
     trainer: Optional[Trainer] = None,
     model_kwargs: Optional[Dict[str, Dict]] = None,
 ) -> List[SparsityPoint]:
-    """Retrain every model at every sparsity level of one kind."""
+    """Retrain every model at every sparsity level of one kind (serially)."""
+    # Imported lazily: repro.api sits above the training layer, so a
+    # module-level import here would be circular.
+    from ..api.experiment import execute_repeated
+
     model_kwargs = model_kwargs or {}
     points: List[SparsityPoint] = []
     for level in levels:
         sparsified = apply_sparsity(graph, kind, level, seed=0)
         for name in model_names:
-            result = _repeated_impl(
+            result, _ = execute_repeated(
                 name,
                 sparsified,
-                seeds,
-                trainer,
-                model_kwargs.get(name),
+                seeds=seeds,
+                train=trainer,
+                model_kwargs=model_kwargs.get(name),
+                max_workers=1,
             )
             points.append(SparsityPoint(kind=kind, level=float(level), result=result))
     return points

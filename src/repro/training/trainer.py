@@ -8,7 +8,8 @@ The :class:`Trainer` drives any :class:`repro.models.NodeClassifier`:
    nodes, backward pass and an Adam/SGD step;
 3. validation accuracy is tracked every epoch; the parameters of the best
    validation epoch are restored before the final test evaluation
-   (early stopping with patience).
+   (early stopping with patience).  Both evaluations go through
+   ``model.predict``, in eval mode with the autograd tape off.
 
 The per-epoch history is kept so the convergence-curve benchmark (Fig. 5)
 can be regenerated directly from :class:`TrainResult`.
@@ -108,9 +109,7 @@ class Trainer:
             loss.backward()
             optimizer.step()
 
-            model.eval()
-            eval_logits = model.forward(cache)
-            predictions = eval_logits.numpy().argmax(axis=1)
+            predictions = model.predict(graph, cache)
             train_acc = accuracy(predictions, labels, train_mask)
             val_acc = accuracy(predictions, labels, val_mask)
             history["loss"].append(loss.item())
@@ -133,8 +132,7 @@ class Trainer:
         if best_state is not None:
             model.load_state_dict(best_state)
         model.eval()
-        final_logits = model.forward(cache)
-        predictions = final_logits.numpy().argmax(axis=1)
+        predictions = model.predict(graph, cache)
         return TrainResult(
             train_accuracy=accuracy(predictions, labels, train_mask),
             val_accuracy=accuracy(predictions, labels, val_mask),

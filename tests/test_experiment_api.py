@@ -21,7 +21,6 @@ from repro.api import (
 from repro.cli import main as cli_main
 from repro.datasets import load_dataset
 from repro.training import Trainer
-from repro.training.experiment import _repeated_impl
 
 QUICK = ExperimentConfig(seeds=(0, 1), train=TrainConfig(epochs=4, patience=4))
 
@@ -263,7 +262,7 @@ class TestSessionExperiment:
         )
         table = report.as_table()
         assert "MLP" in table and "texas" in table and "Rank" in table
-        assert set(report.by_dataset()) == {"texas"}
+        assert set(report.ranks()) == {"MLP", "SGC"}
         assert len(report.run_rows()) == 4  # 2 models x 2 seeds
 
     def test_report_json_round_trip_and_save(self, tmp_path):
@@ -341,16 +340,38 @@ class TestReportProperties:
         assert cell.test_std == pytest.approx(float(values.std()))
 
 
-class TestDeprecationShims:
-    """The legacy ``ExperimentResult`` cell the old ``run_*`` helpers returned."""
+def _sweep(cells):
+    """A sweep report of one-run cells given as ``(model, dataset, test accuracy)``."""
+    return SweepReport(cells=tuple(
+        ExperimentReport.from_runs([RunReport(
+            model=model, dataset=dataset, seed=0, train_accuracy=accuracy,
+            val_accuracy=accuracy, test_accuracy=accuracy, best_epoch=1, epochs_run=1,
+        )])
+        for model, dataset, accuracy in cells
+    ))
 
-    def test_legacy_as_row_carries_val_and_run_detail(
-        self, homophilous_graph, fast_trainer
-    ):
-        result = _repeated_impl("MLP", homophilous_graph, (0,), fast_trainer, None)
-        row = result.as_row()
-        assert 0.0 <= row["val_mean"] <= 1.0
-        assert row["test_accuracies"] == [round(result.runs[0].test_accuracy, 4)]
+
+class TestSweepRanks:
+    """:meth:`SweepReport.ranks`, the paper's Rank column."""
+
+    def test_ranks_order_cells_by_test_mean(self):
+        ranks = _sweep([("MLP", "texas", 0.6), ("SGC", "texas", 0.8)]).ranks()
+        assert ranks == {"MLP": 2.0, "SGC": 1.0}
+
+    def test_ranks_average_over_datasets(self):
+        ranks = _sweep([
+            ("MLP", "texas", 0.6), ("SGC", "texas", 0.8), ("GCN", "texas", 0.7),
+            ("MLP", "cornell", 0.9), ("SGC", "cornell", 0.5),
+        ]).ranks()
+        assert ranks == {"MLP": 2.0, "SGC": 1.5, "GCN": 2.0}
+
+    def test_tied_cells_share_their_mean_rank(self):
+        cells = [("MagNet", "texas", 0.97), ("ADPA", "texas", 0.97), ("MLP", "texas", 0.84)]
+        report, reversed_report = _sweep(cells), _sweep(cells[::-1])
+        assert report.ranks() == {"MagNet": 1.5, "ADPA": 1.5, "MLP": 3.0}
+        assert reversed_report.ranks() == report.ranks()
+        rows = report.as_table().splitlines()[1:]
+        assert sorted(reversed_report.as_table().splitlines()[1:]) == sorted(rows)
 
 
 class TestExperimentCli:

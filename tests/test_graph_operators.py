@@ -12,12 +12,11 @@ from repro.graph import (
     normalized_laplacian,
     num_patterns_for_order,
     personalized_pagerank_adjacency,
-    propagation_operators,
     row_normalized,
-    second_order_patterns,
     symmetric_normalized_adjacency,
     SECOND_ORDER_PATTERN_NAMES,
 )
+from repro.graph.operators import drop_diagonal
 
 
 @pytest.fixture()
@@ -89,7 +88,7 @@ class TestDirectedPatterns:
             num_patterns_for_order(0)
 
     def test_second_order_names(self, line_digraph):
-        patterns = second_order_patterns(line_digraph)
+        patterns = directed_pattern_operators(line_digraph, order=2)
         assert set(SECOND_ORDER_PATTERN_NAMES) == set(patterns)
 
     def test_transpose_relationship(self, random_digraph):
@@ -137,11 +136,25 @@ class TestDirectedPatterns:
         np.testing.assert_array_equal(patterns["A"].toarray(), patterns["At"].toarray())
         np.testing.assert_array_equal(patterns["AA"].toarray(), patterns["AAt"].toarray())
 
-    def test_propagation_operators_are_row_stochastic(self, random_digraph):
-        operators = propagation_operators(random_digraph, order=2)
-        assert len(operators) == 6
-        for matrix in operators.values():
-            np.testing.assert_allclose(np.asarray(matrix.sum(axis=1)).ravel(), 1.0)
+    def test_drop_diagonal_matches_dense_reference(self):
+        rng = np.random.default_rng(0)
+        saw_duplicates = False
+        for _ in range(60):
+            n, m = rng.integers(1, 12, size=2)
+            rows = np.sort(rng.integers(0, n, size=int(rng.integers(0, 4 * n))))
+            cols = rng.integers(0, m, size=rows.size)
+            values = rng.choice([0.0, 1.0, -1.0, 2.0], size=rows.size)
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+            # Built from raw arrays, so duplicates and explicit zeros survive.
+            matrix = sp.csr_matrix((values, cols, indptr), shape=(n, m))
+            saw_duplicates |= np.unique(rows * m + cols).size < rows.size
+            expected = matrix.toarray()
+            np.fill_diagonal(expected, 0.0)
+            dropped = drop_diagonal(matrix)
+            np.testing.assert_array_equal(dropped.toarray(), expected)
+            assert dropped.has_canonical_format
+            assert np.all(dropped.data != 0)
+        assert saw_duplicates
 
 
 class TestSpectralOperators:

@@ -1,27 +1,16 @@
-"""Tests for the trainer, the repeated-experiment helpers and sparsity sweeps."""
+"""Tests for the trainer and the sparsity sweeps."""
 
 import numpy as np
 import pytest
 
-from repro.api import Session
 from repro.models import create_model
 from repro.training import (
     SPARSITY_KINDS,
     Trainer,
     apply_sparsity,
-    average_rank,
-    format_results_table,
     format_sparsity_table,
-    rank_results,
     sparsity_sweep,
 )
-from repro.training.experiment import _repeated_impl
-
-
-def _cells(names, graph, trainer):
-    """One single-seed repeated cell per model, as the rank helpers read them."""
-    handle = Session().from_graph(graph)
-    return [handle.fit_repeated(name, seeds=(0,), train=trainer) for name in names]
 
 
 class TestTrainer:
@@ -76,34 +65,21 @@ class TestTrainer:
         result = trainer.fit(model, homophilous_graph)
         assert 0.0 <= result.test_accuracy <= 1.0
 
+    def test_evaluation_forwards_run_with_the_tape_off(self, homophilous_graph):
+        """Only each epoch's training forward records an autograd tape."""
+        model = create_model("MLP", homophilous_graph, hidden=16, seed=0)
+        forward, taped = model.forward, []
 
-class TestExperimentHelpers:
-    def test_rank_results(self, homophilous_graph, fast_trainer):
-        results = _cells(["MLP", "SGC"], homophilous_graph, fast_trainer)
-        ranks = rank_results(results)
-        assert set(ranks.values()) == {1.0, 2.0}
-        best_model = max(results, key=lambda result: result.test_mean).model
-        assert ranks[best_model] == 1.0
+        def counting_forward(cache):
+            logits = forward(cache)
+            taped.append(logits.requires_grad)
+            return logits
 
-    def test_average_rank(self, homophilous_graph, heterophilous_graph, fast_trainer):
-        suite_a = _cells(["MLP", "SGC"], homophilous_graph, fast_trainer)
-        suite_b = _cells(["MLP", "SGC"], heterophilous_graph, fast_trainer)
-        averaged = average_rank([suite_a, suite_b])
-        assert set(averaged) == {"MLP", "SGC"}
-        assert all(1.0 <= value <= 2.0 for value in averaged.values())
-
-    def test_format_results_table(self, homophilous_graph, fast_trainer):
-        results = _cells(["MLP"], homophilous_graph, fast_trainer)
-        table = format_results_table({homophilous_graph.name: results})
-        assert "MLP" in table
-        assert homophilous_graph.name in table
-        assert "Rank" in table
-
-    def test_result_as_row(self, homophilous_graph, fast_trainer):
-        result = _repeated_impl("MLP", homophilous_graph, (0,), fast_trainer, None)
-        row = result.as_row()
-        assert row["model"] == "MLP"
-        assert 0.0 <= row["test_mean"] <= 1.0
+        model.forward = counting_forward
+        result = Trainer(epochs=12, patience=12).fit(model, homophilous_graph)
+        assert sum(taped) == result.epochs_run
+        assert len(taped) == 2 * result.epochs_run + 1
+        assert not model.training
 
 
 class TestSparsity:
