@@ -199,6 +199,13 @@ class ADPA(NodeClassifier):
         fused = self.hop_attention(hop_representations)
         return self.classifier(fused)
 
+    def row_cache(self, cache: Dict[str, object], rows: np.ndarray) -> Dict[str, object]:
+        """Every propagated block cut to ``rows``: both attentions act per node."""
+        return {
+            "steps": [[Tensor(block.data[rows]) for block in blocks] for blocks in cache["steps"]],
+            "operator_names": cache["operator_names"],
+        }
+
     # ------------------------------------------------------------------ #
     # Introspection helpers used by the analysis benchmarks
     # ------------------------------------------------------------------ #

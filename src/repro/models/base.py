@@ -13,6 +13,13 @@ Each model is a :class:`repro.nn.Module` with two extra responsibilities:
     Map the cached inputs to ``(n, num_classes)`` logits.  Called every
     epoch under autograd.
 
+``row_cache(cache, rows)``
+    Optional.  A model whose forward computes each node's logits from that
+    node's cached rows alone (MLP, SGC, ADPA) returns a cache whose forward
+    yields the logits of ``rows`` only, so the trainer forwards just the
+    rows its loss and early stopping read.  The default, ``None``, keeps
+    the whole-graph forward every message-passing model needs.
+
 The :class:`repro.training.Trainer` drives fit/early-stopping/evaluation on
 top of this contract, so model files stay focused on the architecture.
 """
@@ -80,6 +87,18 @@ class NodeClassifier(Module):
     def forward(self, cache: Dict[str, object]) -> Tensor:
         """Compute class logits from a cache built by :meth:`preprocess`."""
         raise NotImplementedError
+
+    def row_cache(self, cache: Dict[str, object], rows: np.ndarray) -> Optional[Dict[str, object]]:
+        """A cache whose forward yields the logits of ``rows`` only, or ``None``.
+
+        ``rows`` holds sorted, distinct node indices.  A model may slice
+        only if each row's logits depend on that row's inputs alone and
+        every dropout it draws is shaped ``(n, ...)`` by node, so that
+        under :func:`repro.nn.row_subset` its masks are the rows of a
+        whole-graph draw.  Models that mix rows (message passing, batch
+        statistics) keep this default.
+        """
+        return None
 
     # ------------------------------------------------------------------ #
     # Preprocess-cache contract

@@ -52,3 +52,6 @@ class MLPClassifier(NodeClassifier):
 
     def forward(self, cache: Dict[str, object]) -> Tensor:
         return self.mlp(cache["x"])
+
+    def row_cache(self, cache: Dict[str, object], rows: np.ndarray) -> Dict[str, object]:
+        return {"x": Tensor(cache["x"].data[rows])}

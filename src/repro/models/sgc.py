@@ -149,6 +149,9 @@ class SGC(NodeClassifier):
     def forward(self, cache: Dict[str, object]) -> Tensor:
         return self.linear(self.dropout(cache["x"]))
 
+    def row_cache(self, cache: Dict[str, object], rows: np.ndarray) -> Dict[str, object]:
+        return {"x": Tensor(cache["x"].data[rows])}
+
 
 def _neighbours(operator, rows: np.ndarray) -> np.ndarray:
     """Columns stored in the given rows of a (symmetric) CSR operator."""

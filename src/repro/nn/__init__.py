@@ -6,7 +6,7 @@ composition of :class:`repro.nn.Module` objects whose parameters are
 """
 
 from . import functional
-from .tensor import Tensor, as_tensor, concatenate, no_grad, sparse_matmul, stack, where, zeros, ones
+from .tensor import Tensor, as_tensor, concatenate, no_grad, row_subset, sparse_matmul, stack, where, zeros, ones
 from .layers import (
     BatchNorm,
     Dropout,
@@ -24,6 +24,7 @@ __all__ = [
     "as_tensor",
     "concatenate",
     "no_grad",
+    "row_subset",
     "stack",
     "sparse_matmul",
     "where",

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, current_row_subset
 
 
 def relu(x: Tensor) -> Tensor:
@@ -43,13 +43,31 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: scales kept activations by ``1/(1-p)`` at train time."""
+    """Inverted dropout: scales kept activations by ``1/(1-p)`` at train time.
+
+    Inside :func:`repro.nn.tensor.row_subset` the mask is drawn for all
+    ``num_rows`` rows and sliced to the forwarded ones, so the generator
+    advances exactly as a whole-graph forward's does.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     rng = rng if rng is not None else np.random.default_rng()
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    subset = current_row_subset()
+    if subset is None:
+        draw = rng.random(x.shape)
+    else:
+        index, num_rows = subset
+        if x.shape[0] != len(index):
+            raise ValueError(
+                f"dropout input has {x.shape[0]} rows inside a row subset of "
+                f"{len(index)}; its mask would not match a whole-graph draw"
+            )
+        draw = rng.random((num_rows,) + x.shape[1:])
+        if len(index) < num_rows:
+            draw = draw[index]
+    keep = (draw >= p).astype(x.data.dtype) / (1.0 - p)
     return x * Tensor(keep)
 
 

@@ -15,7 +15,10 @@ PyTorch semantics at a much smaller scale:
   operand — exactly what graph propagation needs, because adjacency
   matrices are never trained;
 * inside :func:`no_grad` the calling thread records no tape at all, which
-  is how inference runs a forward for its values alone.
+  is how inference runs a forward for its values alone;
+* inside :func:`row_subset` a forward covers some of a graph's rows, and
+  dropout masks are still drawn for all of them, which is how training
+  forwards only the rows its loss reads.
 
 Broadcasting is supported for elementwise operations; gradients are summed
 back to the original shapes with :func:`_unbroadcast`.
@@ -52,6 +55,37 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_state.disabled = previous
+
+
+# ---------------------------------------------------------------------- #
+# Row context
+# ---------------------------------------------------------------------- #
+# A forward over a subset of a graph's rows must draw the same random
+# numbers as a forward over all of them.  Inside :func:`row_subset` random
+# draws shaped by row (dropout masks) are made for ``num_rows`` rows and
+# then sliced to ``index``.  Thread-local like the tape switch: parallel
+# fits each keep their own context.
+_row_state = threading.local()
+
+
+@contextmanager
+def row_subset(index: np.ndarray, num_rows: int) -> Iterator[None]:
+    """Forwards on the calling thread cover rows ``index`` of ``num_rows``.
+
+    ``index`` holds sorted, distinct row numbers, so an index of
+    ``num_rows`` entries covers every row in order.
+    """
+    previous = getattr(_row_state, "subset", None)
+    _row_state.subset = (np.asarray(index), num_rows)
+    try:
+        yield
+    finally:
+        _row_state.subset = previous
+
+
+def current_row_subset() -> Optional[Tuple[np.ndarray, int]]:
+    """The calling thread's ``(index, num_rows)``, or ``None`` outside :func:`row_subset`."""
+    return getattr(_row_state, "subset", None)
 
 
 def _taped(

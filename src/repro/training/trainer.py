@@ -4,12 +4,20 @@ The :class:`Trainer` drives any :class:`repro.models.NodeClassifier`:
 
 1. ``model.preprocess(graph)`` builds the training-independent cache (this
    is where decoupled models do their propagation);
-2. each epoch runs a forward pass, masked cross-entropy on the training
-   nodes, backward pass and an Adam/SGD step;
+2. each epoch runs a forward pass, cross-entropy on the training nodes,
+   backward pass and an Adam/SGD step;
 3. validation accuracy is tracked every epoch; the parameters of the best
    validation epoch are restored before the final test evaluation
    (early stopping with patience).  Both evaluations go through
    ``model.predict``, in eval mode with the autograd tape off.
+
+A model whose :meth:`~repro.models.NodeClassifier.row_cache` slices its
+cache (MLP, SGC, ADPA) forwards only the rows each step reads: the
+training forward covers the training nodes, the per-epoch evaluation the
+training and validation nodes.  Every other model forwards the whole
+graph.  Dropout masks are drawn for all nodes either way (see
+:func:`repro.nn.row_subset`), and the final evaluation always forwards
+the whole graph.
 
 The per-epoch history is kept so the convergence-curve benchmark (Fig. 5)
 can be regenerated directly from :class:`TrainResult`.
@@ -27,7 +35,7 @@ from ..graph.digraph import DirectedGraph
 from ..graph.splits import validate_splits
 from ..metrics.classification import accuracy
 from ..models.base import NodeClassifier
-from ..nn import Adam, SGD
+from ..nn import Adam, SGD, row_subset
 from ..nn import functional as F
 
 
@@ -92,6 +100,9 @@ class Trainer:
         optimizer = self._build_optimizer(model)
         labels = graph.labels
         train_mask, val_mask, test_mask = graph.train_mask, graph.val_mask, graph.test_mask
+        train_rows, train_cache = _rows_and_cache(model, cache, train_mask)
+        eval_rows, eval_cache = _rows_and_cache(model, cache, train_mask | val_mask)
+        train_labels, eval_labels = labels[train_rows], labels[eval_rows]
 
         history: Dict[str, List[float]] = {"loss": [], "train_acc": [], "val_acc": []}
         best_val = -1.0
@@ -104,14 +115,15 @@ class Trainer:
         for epoch in range(1, self.epochs + 1):
             model.train()
             optimizer.zero_grad()
-            logits = model.forward(cache)
-            loss = F.cross_entropy(logits, labels, train_mask)
+            with row_subset(train_rows, graph.num_nodes):
+                logits = model.forward(train_cache)
+            loss = F.cross_entropy(logits, train_labels, train_mask[train_rows])
             loss.backward()
             optimizer.step()
 
-            predictions = model.predict(graph, cache)
-            train_acc = accuracy(predictions, labels, train_mask)
-            val_acc = accuracy(predictions, labels, val_mask)
+            predictions = model.predict(graph, eval_cache)
+            train_acc = accuracy(predictions, eval_labels, train_mask[eval_rows])
+            val_acc = accuracy(predictions, eval_labels, val_mask[eval_rows])
             history["loss"].append(loss.item())
             history["train_acc"].append(train_acc)
             history["val_acc"].append(val_acc)
@@ -143,3 +155,16 @@ class Trainer:
             fit_seconds=fit_seconds,
             preprocess_seconds=preprocess_seconds,
         )
+
+
+def _rows_and_cache(model: NodeClassifier, cache: Dict[str, object], mask: np.ndarray):
+    """The rows a forward covers and the cache that yields them.
+
+    The rows of ``mask`` and the model's sliced cache, or every row and the
+    whole cache when the model does not slice.
+    """
+    rows = np.flatnonzero(mask)
+    sliced = model.row_cache(cache, rows)
+    if sliced is None:
+        return np.arange(mask.size), cache
+    return rows, sliced

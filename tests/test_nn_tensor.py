@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.nn import Tensor, concatenate, no_grad, sparse_matmul, stack, where
-from repro.nn.tensor import _unbroadcast
+from repro.nn import Tensor, concatenate, no_grad, row_subset, sparse_matmul, stack, where
+from repro.nn import functional as F
+from repro.nn.tensor import _unbroadcast, current_row_subset
 
 
 def numerical_gradient(func, value: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -265,3 +266,68 @@ class TestNoGrad:
         out = untaped["out"]
         assert not out.requires_grad and out._parents == ()
         np.testing.assert_allclose(out.numpy(), np.full((2, 1), 2.0))
+
+
+class TestRowSubset:
+    def test_sliced_dropout_is_the_rows_of_a_whole_draw(self):
+        rows = np.array([1, 4, 5, 9])
+        x = np.arange(10 * 3, dtype=np.float64).reshape(10, 3) + 1.0
+        whole_rng, sliced_rng = np.random.default_rng(7), np.random.default_rng(7)
+        whole = F.dropout(Tensor(x), 0.5, training=True, rng=whole_rng).numpy()
+        with row_subset(rows, 10):
+            sliced = F.dropout(Tensor(x[rows]), 0.5, training=True, rng=sliced_rng).numpy()
+        np.testing.assert_array_equal(sliced, whole[rows])
+        assert sliced_rng.bit_generator.state == whole_rng.bit_generator.state
+
+    def test_every_row_draws_the_whole_mask(self):
+        x = np.ones((6, 2))
+        whole = F.dropout(Tensor(x), 0.3, training=True, rng=np.random.default_rng(1)).numpy()
+        with row_subset(np.arange(6), 6):
+            inside = F.dropout(Tensor(x), 0.3, training=True, rng=np.random.default_rng(1)).numpy()
+        np.testing.assert_array_equal(inside, whole)
+
+    def test_row_count_mismatch_raises(self):
+        with row_subset(np.array([0, 2]), 5), pytest.raises(ValueError, match="rows"):
+            F.dropout(Tensor(np.ones((5, 2))), 0.5, training=True, rng=np.random.default_rng(0))
+
+    def test_eval_mode_dropout_ignores_the_subset(self):
+        x = Tensor(np.ones((5, 2)))
+        with row_subset(np.array([0, 2]), 5):
+            assert F.dropout(x, 0.5, training=False) is x
+
+    def test_context_is_restored_on_exit(self):
+        assert current_row_subset() is None
+        with row_subset(np.array([0, 1]), 4):
+            with row_subset(np.array([3]), 4):
+                np.testing.assert_array_equal(current_row_subset()[0], [3])
+            index, num_rows = current_row_subset()
+            np.testing.assert_array_equal(index, [0, 1])
+            assert num_rows == 4
+        assert current_row_subset() is None
+        with pytest.raises(RuntimeError):
+            with row_subset(np.array([0]), 2):
+                raise RuntimeError("boom")
+        assert current_row_subset() is None
+
+    def test_row_subset_is_thread_local(self):
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def sliced_forward():
+            with row_subset(np.array([0, 3]), 4):
+                seen["other"] = current_row_subset()
+                inside.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=sliced_forward)
+        thread.start()
+        try:
+            assert inside.wait(10)
+            # This thread still draws whole-shape masks while the other is sliced.
+            assert current_row_subset() is None
+            out = F.dropout(Tensor(np.ones((4, 2))), 0.5, training=True, rng=np.random.default_rng(0))
+            assert out.shape == (4, 2)
+        finally:
+            release.set()
+            thread.join(10)
+        np.testing.assert_array_equal(seen["other"][0], [0, 3])

@@ -66,20 +66,92 @@ class TestTrainer:
         assert 0.0 <= result.test_accuracy <= 1.0
 
     def test_evaluation_forwards_run_with_the_tape_off(self, homophilous_graph):
-        """Only each epoch's training forward records an autograd tape."""
-        model = create_model("MLP", homophilous_graph, hidden=16, seed=0)
-        forward, taped = model.forward, []
+        """Only each epoch's training forward records an autograd tape.
+
+        The taped forward covers the training rows, each epoch's tape-off
+        evaluation the training and validation rows, and the final
+        evaluation the whole graph.
+        """
+        graph = homophilous_graph
+        model = create_model("MLP", graph, hidden=16, seed=0)
+        forward, taped, rows = model.forward, [], []
 
         def counting_forward(cache):
             logits = forward(cache)
             taped.append(logits.requires_grad)
+            rows.append(logits.shape[0])
             return logits
 
         model.forward = counting_forward
-        result = Trainer(epochs=12, patience=12).fit(model, homophilous_graph)
+        result = Trainer(epochs=12, patience=12).fit(model, graph)
         assert sum(taped) == result.epochs_run
         assert len(taped) == 2 * result.epochs_run + 1
         assert not model.training
+        num_train = int(graph.train_mask.sum())
+        num_eval = int((graph.train_mask | graph.val_mask).sum())
+        assert [r for r, t in zip(rows, taped) if t] == [num_train] * result.epochs_run
+        assert [r for r, t in zip(rows, taped) if not t] == [num_eval] * result.epochs_run + [
+            graph.num_nodes
+        ]
+
+
+class TestRowSlicedFits:
+    """Decoupled models train on the rows the loss reads, as if on all rows."""
+
+    MODELS = {
+        "ADPA": dict(hidden=16, num_steps=2),
+        "MLP": dict(hidden=16),
+        "SGC": dict(dropout=0.5),
+    }
+
+    @classmethod
+    def _fit(cls, name, graph, slice_rows):
+        model = create_model(name, graph, seed=3, **cls.MODELS[name])
+        forward, rows = model.forward, []
+
+        def counting_forward(cache):
+            logits = forward(cache)
+            if logits.requires_grad:
+                rows.append(logits.shape[0])
+            return logits
+
+        model.forward = counting_forward
+        if not slice_rows:
+            model.row_cache = lambda cache, rows: None
+        result = Trainer(epochs=25, patience=25).fit(model, graph)
+        return result, model.state_dict(), rows
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_sliced_fit_matches_whole_graph_fit(self, name, heterophilous_graph):
+        graph = heterophilous_graph
+        sliced, sliced_state, sliced_rows = self._fit(name, graph, slice_rows=True)
+        whole, whole_state, whole_rows = self._fit(name, graph, slice_rows=False)
+        assert set(sliced_rows) == {int(graph.train_mask.sum())}
+        assert set(whole_rows) == {graph.num_nodes}
+        for field in ("train_accuracy", "val_accuracy", "test_accuracy", "best_epoch", "epochs_run"):
+            assert getattr(sliced, field) == getattr(whole, field), field
+        assert sliced.history["train_acc"] == whole.history["train_acc"]
+        assert sliced.history["val_acc"] == whole.history["val_acc"]
+        np.testing.assert_allclose(sliced.history["loss"], whole.history["loss"], rtol=0, atol=1e-10)
+        assert sliced_state.keys() == whole_state.keys()
+        for key in whole_state:
+            np.testing.assert_allclose(sliced_state[key], whole_state[key], rtol=0, atol=1e-10)
+
+    def test_row_cache_forwards_only_the_given_rows(self, heterophilous_graph):
+        graph = heterophilous_graph
+        rows = np.flatnonzero(graph.val_mask)
+        for name, kwargs in self.MODELS.items():
+            model = create_model(name, graph, seed=0, **kwargs)
+            cache = model.preprocess(graph)
+            whole = model.predict_logits(graph, cache)
+            sliced = model.predict_logits(graph, model.row_cache(cache, rows))
+            np.testing.assert_allclose(sliced, whole[rows], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(sliced.argmax(axis=1), whole[rows].argmax(axis=1))
+
+    def test_message_passing_models_forward_the_whole_graph(self, heterophilous_graph):
+        model = create_model("GCN", heterophilous_graph, hidden=8, seed=0)
+        cache = model.preprocess(heterophilous_graph)
+        assert model.row_cache(cache, np.flatnonzero(heterophilous_graph.train_mask)) is None
 
 
 class TestSparsity:
