@@ -4,8 +4,9 @@ Before live graphs, *any* array change produced a brand-new fingerprint
 and a full re-preprocess: one inserted edge cost a complete rehash of
 every row plus the model's whole K-step propagation.  The delta path
 (:func:`repro.graph.apply_delta` + ``model.update_preprocess``) re-hashes
-only the touched rows against the canonicalised baseline and patches the
-propagation for the dirty frontier, bit-identical to the full recompute.
+only the 256-row fingerprint blocks holding a touched row against the
+canonicalised baseline and patches the propagation for the dirty
+frontier, bit-identical to the full recompute.
 
 Two phases, on SGC (K=2) over a dedicated 30k-node DSBM graph — an
 order of magnitude above the registry datasets, the scale at which the

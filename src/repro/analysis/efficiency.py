@@ -5,21 +5,20 @@ training (``O(kKmf)`` sparse products), so the per-epoch cost is that of an
 MLP.  :func:`profile_model` measures exactly that split — preprocessing
 time, per-epoch training time and parameter count — for any registered
 model, and :func:`efficiency_report` tabulates it across a model list so the
-decoupled-vs-coupled trade-off can be inspected empirically.
+decoupled-vs-coupled trade-off can be inspected empirically.  The epoch
+timed is the one :meth:`repro.training.Trainer.fit` runs, so a model that
+slices its cache to the rows a step reads (MLP, SGC, ADPA) is profiled on
+those rows.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-import numpy as np
-
 from ..graph.digraph import DirectedGraph
 from ..models.registry import create_model, get_spec
-from ..nn import Adam
-from ..nn import functional as F
+from ..training.trainer import Trainer
 
 
 @dataclass
@@ -49,35 +48,24 @@ def profile_model(
     model_kwargs: Optional[Dict] = None,
     seed: int = 0,
 ) -> ModelProfile:
-    """Measure preprocessing time and per-epoch cost of one model."""
+    """Measure preprocessing time and per-epoch cost of one model.
+
+    Trains ``num_epochs`` epochs through :meth:`Trainer.fit` (patience
+    equal to the epoch budget, so early stopping never cuts the run); the
+    per-epoch cost is the fit's epoch-loop time over the epochs it ran,
+    each a training step plus the tape-off evaluation.
+    """
     if num_epochs < 1:
         raise ValueError(f"num_epochs must be >= 1, got {num_epochs}")
     kwargs = dict(model_kwargs or {})
     kwargs.setdefault("seed", seed)
     model = create_model(model_name, graph, **kwargs)
-
-    start = time.perf_counter()
-    cache = model.preprocess(graph)
-    preprocess_seconds = time.perf_counter() - start
-
-    optimizer = Adam(model.parameters(), lr=0.01)
-    labels = graph.labels
-    mask = graph.train_mask if graph.train_mask is not None else np.ones(graph.num_nodes, dtype=bool)
-
-    model.train()
-    start = time.perf_counter()
-    for _ in range(num_epochs):
-        optimizer.zero_grad()
-        loss = F.cross_entropy(model.forward(cache), labels, mask)
-        loss.backward()
-        optimizer.step()
-    seconds_per_epoch = (time.perf_counter() - start) / num_epochs
-
+    result = Trainer(epochs=num_epochs, patience=num_epochs).fit(model, graph)
     return ModelProfile(
         model=get_spec(model_name).name,
         dataset=graph.name,
-        preprocess_seconds=preprocess_seconds,
-        seconds_per_epoch=seconds_per_epoch,
+        preprocess_seconds=result.preprocess_seconds,
+        seconds_per_epoch=result.fit_seconds / result.epochs_run,
         num_parameters=model.num_parameters(),
     )
 

@@ -321,10 +321,10 @@ class GraphHandle:
         """Apply a live :class:`~repro.graph.GraphDelta`; returns a new handle.
 
         The mutated graph's fingerprint is maintained incrementally (only
-        touched rows re-hashed), so serving caches key it without a full
-        rehash.  Any attached AMUD decision is dropped — edge edits can
-        change the directed-modeling guidance — re-run :meth:`amud` if the
-        paradigm choice should follow the mutation.
+        the blocks holding a touched row re-hashed), so serving caches key
+        it without a full rehash.  Any attached AMUD decision is dropped —
+        edge edits can change the directed-modeling guidance — re-run
+        :meth:`amud` if the paradigm choice should follow the mutation.
         """
         return GraphHandle(
             session=self.session, graph=self.graph.apply_delta(delta, validate=validate)

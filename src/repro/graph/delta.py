@@ -5,10 +5,12 @@ A :class:`GraphDelta` is a batch of edits against one
 feature-row replacements, label updates and split-mask flips.
 :func:`apply_delta` (also exposed as ``DirectedGraph.apply_delta``)
 returns the mutated graph *with its content fingerprint maintained
-incrementally*: only the touched adjacency/feature rows are re-hashed
-against the canonicalised baseline and recombined, which is bit-identical
-to a full rehash by construction (the digest is built from per-row
-sub-digests, see :mod:`repro.fingerprint`) at a fraction of the cost.
+incrementally*: only the :data:`~repro.fingerprint.BLOCK_ROWS`-row blocks
+holding an edited adjacency or feature row are re-hashed against the
+canonicalised baseline and recombined, which is bit-identical to a full
+rehash by construction (the digest is built from block sub-digests, see
+:mod:`repro.fingerprint`).  A delta costs one block hash per touched
+block, not a pass over every row.
 
 The adjacency edit itself is CSR row surgery: untouched row segments are
 bulk-copied, touched rows rebuilt (removals applied first, then inserts,
@@ -26,8 +28,9 @@ import scipy.sparse as sp
 
 from ..fingerprint import (
     _array_digest_bytes,
-    csr_row_digest,
-    dense_row_digest,
+    blocks_of,
+    csr_block_digest,
+    dense_block_digest,
     fingerprint_state,
 )
 from .digraph import DirectedGraph
@@ -291,11 +294,12 @@ def apply_delta(
     """Apply ``delta`` to ``graph``, maintaining the fingerprint incrementally.
 
     Returns a new :class:`DirectedGraph` (the input is never mutated) whose
-    cached fingerprint state was produced by re-hashing only the touched
-    adjacency/feature rows and the touched whole arrays against the
-    canonicalised baseline.  With ``validate=True`` the incremental digest
-    is checked against a full rehash of the mutated arrays (bit-identity
-    guard; used by the test-suite and the delta benchmark).
+    cached fingerprint state was produced by re-hashing only the adjacency
+    and feature blocks that hold an edited row, and the touched whole
+    arrays, against the canonicalised baseline.  With ``validate=True`` the
+    incremental digest is checked against a full rehash of the mutated
+    arrays (bit-identity guard; used by the test-suite and the delta
+    benchmark).
     """
     delta.validate(graph)
     state = graph.fingerprint_state().copy()
@@ -335,15 +339,13 @@ def apply_delta(
         **masks,
     )
 
-    # Incremental fingerprint: re-hash only what the delta touched.
-    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
-    for row in edited_rows:
-        start, end = indptr[row], indptr[row + 1]
-        state.adjacency_rows[row] = csr_row_digest(indices[start:end], data[start:end])
+    # Incremental fingerprint: re-hash only the blocks the delta touched.
+    for block in blocks_of(edited_rows):
+        state.adjacency_blocks[block] = csr_block_digest(adjacency, block)
     if delta.set_features:
         contiguous = np.ascontiguousarray(updated.features)
-        for node in delta.set_features:
-            state.feature_rows[node] = dense_row_digest(contiguous[node])
+        for block in blocks_of(delta.set_features):
+            state.feature_blocks[block] = dense_block_digest(contiguous, block)
     if delta.set_labels:
         state.label_digest = _array_digest_bytes("labels", updated.labels)
     for key in delta.set_masks:

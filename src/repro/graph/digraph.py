@@ -161,10 +161,13 @@ class DirectedGraph:
         return cached
 
     def fingerprint_state(self) -> GraphFingerprint:
-        """Per-row fingerprint state backing :meth:`fingerprint`.
+        """Block fingerprint state backing :meth:`fingerprint`.
 
-        Computed lazily and cached; :meth:`apply_delta` derives the mutated
-        graph's state from it by re-hashing only the touched rows.
+        One digest per :data:`~repro.fingerprint.BLOCK_ROWS` adjacency rows
+        and per as many feature rows, plus whole-array label and mask
+        digests, combined under the ``graph-v3`` tag.  Computed lazily and
+        cached; :meth:`apply_delta` derives the mutated graph's state from
+        it by re-hashing only the blocks that hold an edited row.
         """
         state = getattr(self, "_fingerprint_state", None)
         if state is None:
@@ -190,8 +193,9 @@ class DirectedGraph:
         """Apply a live :class:`~repro.graph.delta.GraphDelta`.
 
         Returns the mutated graph (this one is untouched) with its content
-        fingerprint maintained incrementally — only the touched rows/arrays
-        are re-hashed.  See :func:`repro.graph.delta.apply_delta`.
+        fingerprint maintained incrementally — only the blocks holding a
+        touched row, and the touched arrays, are re-hashed.  See
+        :func:`repro.graph.delta.apply_delta`.
         """
         from .delta import apply_delta as _apply_delta
 

@@ -43,8 +43,10 @@ PathLike = Union[str, Path]
 #: default number of (model, graph) preprocess results kept in memory.
 DEFAULT_CAPACITY = 8
 
-#: bumped whenever the on-disk spill layout changes.
-SPILL_FORMAT_VERSION = 1
+#: bumped whenever the on-disk spill layout or the key it is filed under
+#: changes.  Version 2 keys entries by ``graph-v3`` block fingerprints; a
+#: version-1 entry's per-row key can never be looked up again.
+SPILL_FORMAT_VERSION = 2
 
 #: the structure-descriptor array stored inside every spill file.
 _SPILL_META = "__spill__"

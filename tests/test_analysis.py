@@ -13,6 +13,8 @@ from repro.analysis import (
     profile_model,
     summarize_attention,
 )
+from repro.models.mlp import MLPClassifier
+from repro.models.sgc import SGC
 from repro.training import Trainer
 
 
@@ -38,6 +40,32 @@ class TestEfficiencyProfiling:
         assert [profile.model for profile in profiles] == ["MLP", "GCN"]
         table = format_efficiency_table(profiles)
         assert "MLP" in table and "GCN" in table
+
+    @pytest.mark.parametrize(
+        "name, model_class, kwargs",
+        [
+            ("MLP", MLPClassifier, {"hidden": 8}),
+            ("SGC", SGC, {}),
+            ("ADPA", ADPA, {"hidden": 8, "num_steps": 2}),
+        ],
+    )
+    def test_profiled_training_forwards_cover_only_train_rows(
+        self, heterophilous_graph, monkeypatch, name, model_class, kwargs
+    ):
+        """The profiled epoch is Trainer.fit's: row-slicing models train on train rows."""
+        graph = heterophilous_graph
+        forward, taped_rows = model_class.forward, []
+
+        def counting_forward(self, cache):
+            logits = forward(self, cache)
+            if logits.requires_grad:
+                taped_rows.append(logits.shape[0])
+            return logits
+
+        monkeypatch.setattr(model_class, "forward", counting_forward)
+        profile_model(name, graph, num_epochs=3, model_kwargs=kwargs)
+        assert taped_rows == [int(graph.train_mask.sum())] * 3
+        assert taped_rows[0] < graph.num_nodes
 
     def test_decoupled_model_has_cheaper_epochs_than_coupled(self, heterophilous_graph):
         """The Sec. IV-D claim in miniature: SGC epochs are cheaper than GCN epochs."""

@@ -133,18 +133,20 @@ class TestSpillWarm:
         assert len(small) == len(trained_handles)
         assert small.stats().evictions == 0
 
-    def test_format_version_gates_reload(self, trained_handles, tmp_path):
+    @pytest.mark.parametrize("step", [-1, 1], ids=["previous", "next"])
+    def test_format_version_gates_reload(self, trained_handles, tmp_path, step):
         import json
 
         cache = OperatorCache()
         handle = trained_handles[0]
         cache.seed(handle.model, handle.graph, handle.model.preprocess(handle.graph))
         cache.spill(tmp_path)
+        assert OperatorCache().warm(tmp_path) == 1
         path = next(tmp_path.glob("*.npz"))
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["__spill__"]))
             arrays = {k: data[k] for k in data.files if k != "__spill__"}
-        meta["format_version"] = SPILL_FORMAT_VERSION + 1
+        meta["format_version"] = SPILL_FORMAT_VERSION + step
         np.savez(path, __spill__=np.array(json.dumps(meta)), **arrays)
         assert OperatorCache().warm(tmp_path) == 0
 

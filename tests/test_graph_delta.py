@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.fingerprint import canonical_csr, fingerprint_state, graph_fingerprint
+from repro.fingerprint import (
+    BLOCK_ROWS,
+    block_count,
+    canonical_csr,
+    fingerprint_state,
+    graph_fingerprint,
+)
 from repro.graph import DirectedGraph, GraphDelta, from_edge_list
 from repro.graph.transforms import largest_connected_component, to_undirected
 from repro.models.mlp import MLPClassifier
@@ -219,6 +225,83 @@ class TestApplyDelta:
         text = delta.describe()
         assert "+1 edges" in text and "1 labels" in text
         assert GraphDelta().describe() == "GraphDelta(empty)"
+
+
+#: more than two blocks, the last one partial.
+BLOCKED_NODES = 2 * BLOCK_ROWS + 100
+
+#: one row in the first, a middle and the (partial) last block.
+BLOCK_EDGE_ROWS = {"first": 3, "middle": BLOCK_ROWS + 17, "last": BLOCKED_NODES - 1}
+
+
+def absent_target(graph: DirectedGraph, row: int) -> int:
+    present = set(graph.adjacency[row].indices.tolist())
+    return next(col for col in range(graph.num_nodes) if col not in present)
+
+
+def block_delta(kind: str, row: int, graph: DirectedGraph) -> GraphDelta:
+    """An edge insert, an edge removal or a feature row at ``row``."""
+    if kind == "insert":
+        return GraphDelta(add_edges=[[row, absent_target(graph, row)]])
+    if kind == "remove":
+        target = int(graph.adjacency[row].indices[0])
+        return GraphDelta(remove_edges=[[row, target]])
+    return GraphDelta(set_features={row: np.full(graph.num_features, 0.25)})
+
+
+class TestBlockBoundaries:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        assert block_count(BLOCKED_NODES) == 3 and BLOCKED_NODES % BLOCK_ROWS
+        return build_graph(seed=30, n=BLOCKED_NODES)
+
+    @pytest.mark.parametrize("where", sorted(BLOCK_EDGE_ROWS))
+    @pytest.mark.parametrize("kind", ["insert", "remove", "feature"])
+    def test_delta_in_block_equals_full_rehash(self, graph, kind, where):
+        row = BLOCK_EDGE_ROWS[where]
+        before = graph.fingerprint_state()
+        updated = graph.apply_delta(block_delta(kind, row, graph), validate=True)
+        assert updated.fingerprint() == graph_fingerprint(updated) != graph.fingerprint()
+        after = updated.fingerprint_state()
+        name = "feature_blocks" if kind == "feature" else "adjacency_blocks"
+        changed = np.flatnonzero(getattr(before, name) != getattr(after, name))
+        assert changed.tolist() == [row // BLOCK_ROWS]
+
+    def test_delta_across_a_block_boundary(self, graph):
+        rows = [BLOCK_ROWS - 1, BLOCK_ROWS]
+        delta = GraphDelta(
+            add_edges=[[row, absent_target(graph, row)] for row in rows],
+            set_features={row: np.zeros(graph.num_features) for row in rows},
+        )
+        updated = graph.apply_delta(delta, validate=True)
+        assert updated.fingerprint() == graph_fingerprint(updated)
+        before, after = graph.fingerprint_state(), updated.fingerprint_state()
+        for name in ("adjacency_blocks", "feature_blocks"):
+            changed = np.flatnonzero(getattr(before, name) != getattr(after, name))
+            assert changed.tolist() == [0, 1]
+
+    def test_row_split_inside_a_block_changes_fingerprint(self):
+        # Equal column-index and value streams, split 2+1 vs 1+2 over rows 0-1.
+        n = 4
+        indices = np.array([1, 2, 3])
+        data = np.array([1.0, 2.0, 3.0])
+        split = {
+            rows: sp.csr_matrix((data, indices, np.array([0, *rows, 3, 3])), shape=(n, n))
+            for rows in [(2, 3), (1, 3)]
+        }
+        features, labels = np.zeros((n, 2)), np.zeros(n, dtype=np.int64)
+        first, second = (
+            DirectedGraph(adjacency=matrix, features=features, labels=labels)
+            for matrix in split.values()
+        )
+        assert first.fingerprint() != second.fingerprint()
+
+    def test_graph_smaller_than_a_block(self):
+        graph = build_graph(seed=31, n=12)
+        assert len(graph.fingerprint_state().adjacency_blocks) == 1
+        for kind in ("insert", "remove", "feature"):
+            updated = graph.apply_delta(block_delta(kind, 5, graph), validate=True)
+            assert updated.fingerprint() == graph_fingerprint(updated) != graph.fingerprint()
 
 
 class TestNumClassesPin:
