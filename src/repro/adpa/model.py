@@ -132,11 +132,7 @@ class ADPA(NodeClassifier):
                 Tensor(propagation.steps[step][name]) for name in propagation.operator_names
             ]
             steps.append(blocks)
-        return {
-            "steps": steps,
-            "operator_names": propagation.operator_names,
-            "graph": graph,
-        }
+        return {"steps": steps, "operator_names": propagation.operator_names}
 
     def _build_modules(self, num_operators: int) -> None:
         """Create the attention modules once the operator count is known."""
@@ -200,9 +196,20 @@ class ADPA(NodeClassifier):
         return self.classifier(fused)
 
     def row_cache(self, cache: Dict[str, object], rows: np.ndarray) -> Dict[str, object]:
-        """Every propagated block cut to ``rows``: both attentions act per node."""
+        """Every propagated block cut to ``rows``: both attentions act per node.
+
+        Each distinct array is cut once: ``X`` sits in every step, and the
+        operators of an undirected graph share their blocks.
+        """
+        cuts: Dict[int, Tensor] = {}
+
+        def cut(block: Tensor) -> Tensor:
+            if id(block.data) not in cuts:
+                cuts[id(block.data)] = Tensor(block.data[rows])
+            return cuts[id(block.data)]
+
         return {
-            "steps": [[Tensor(block.data[rows]) for block in blocks] for blocks in cache["steps"]],
+            "steps": [[cut(block) for block in blocks] for blocks in cache["steps"]],
             "operator_names": cache["operator_names"],
         }
 

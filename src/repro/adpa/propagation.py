@@ -79,13 +79,19 @@ def build_dp_operators(
     self_loops: bool = True,
     normalize: bool = True,
 ) -> Dict[str, sp.csr_matrix]:
-    """Instantiate and normalise the k-order DP operators for propagation."""
+    """Instantiate and normalise the k-order DP operators for propagation.
+
+    Names that share one matrix (every word of one length, on an
+    undirected graph) share its one normalised matrix too.
+    """
     operators = directed_pattern_operators(graph.adjacency, order=order, binarize=True)
+    normalised: Dict[int, sp.csr_matrix] = {}
     prepared: Dict[str, sp.csr_matrix] = {}
     for name, matrix in operators.items():
-        if self_loops:
-            matrix = add_self_loops(matrix)
-        prepared[name] = row_normalized(matrix) if normalize else matrix
+        if id(matrix) not in normalised:
+            ready = add_self_loops(matrix) if self_loops else matrix
+            normalised[id(matrix)] = row_normalized(ready) if normalize else ready
+        prepared[name] = normalised[id(matrix)]
     return prepared
 
 
@@ -180,12 +186,19 @@ def propagate_features(
     current = {name: features for name in operator_names}
     steps: List[Dict[str, np.ndarray]] = []
     for _ in range(num_steps):
+        # Names sharing one operator (the aliases of an undirected graph)
+        # also share their input, since every name starts from X, so they
+        # share one product.
+        products: Dict[int, np.ndarray] = {}
         next_step: Dict[str, np.ndarray] = {}
         for name in operator_names:
-            propagated = operators[name] @ current[name]
-            if residual_alpha > 0.0:
-                propagated = (1.0 - residual_alpha) * propagated + residual_alpha * features
-            next_step[name] = propagated
+            operator = operators[name]
+            if id(operator) not in products:
+                propagated = operator @ current[name]
+                if residual_alpha > 0.0:
+                    propagated = (1.0 - residual_alpha) * propagated + residual_alpha * features
+                products[id(operator)] = propagated
+            next_step[name] = products[id(operator)]
         steps.append(next_step)
         current = next_step
     return PropagationResult(initial=features, steps=steps, operator_names=list(operator_names))

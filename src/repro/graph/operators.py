@@ -147,21 +147,40 @@ def directed_pattern_operators(
         Ordered mapping from pattern name (e.g. ``"AAt"``) to CSR matrix.
         First-order patterns come first, then second order, and so on, so
         truncating the dict by prefix reproduces lower-order ablations.
+        When ``A`` and ``Aᵀ`` are stored identically (an undirected
+        graph), every word of one length is the same product ``Aᴸ``: it is
+        computed once, and its names share one matrix object.
     """
     if order < 1:
         raise ValueError(f"DP order must be >= 1, got {order}")
     base = {"A": sp.csr_matrix(adjacency), "At": sp.csr_matrix(adjacency).T.tocsr()}
+    symmetric = _same_csr(base["A"], base["At"])
+    built: Dict[Tuple[str, ...], sp.csr_matrix] = {}
     operators: Dict[str, sp.csr_matrix] = {}
     for length in range(1, order + 1):
         for word in itertools.product(("A", "At"), repeat=length):
-            name = "".join(word)
-            matrix = base[word[0]].copy()
-            for symbol in word[1:]:
-                matrix = (matrix @ base[symbol]).tocsr()
-            if binarize:
-                matrix = _binarize(matrix, remove_self_loops=(length > 1))
-            operators[name] = matrix
+            # Reading every At as A changes no operand's bytes when the two
+            # are stored identically, so the product is bitwise the same.
+            canonical = ("A",) * length if symmetric else word
+            if canonical not in built:
+                matrix = base[canonical[0]].copy()
+                for symbol in canonical[1:]:
+                    matrix = (matrix @ base[symbol]).tocsr()
+                if binarize:
+                    matrix = _binarize(matrix, remove_self_loops=(length > 1))
+                built[canonical] = matrix
+            operators["".join(word)] = built[canonical]
     return operators
+
+
+def _same_csr(first: sp.csr_matrix, second: sp.csr_matrix) -> bool:
+    """Whether two CSR matrices store the same rows, columns and values."""
+    return (
+        first.shape == second.shape
+        and np.array_equal(first.indptr, second.indptr)
+        and np.array_equal(first.indices, second.indices)
+        and np.array_equal(first.data, second.data)
+    )
 
 
 def num_patterns_for_order(order: int) -> int:

@@ -5,7 +5,8 @@ Takes any trained registry model or :class:`repro.api.ModelHandle` from
 
 * :mod:`repro.serving.artifacts` — versioned save/load of weights + config;
 * :mod:`repro.serving.cache` — bounded LRU reuse of ``preprocess()`` output
-  and of logits, both spillable to ``.npz`` files;
+  and of logits, both spillable to one directory of ``.npy`` files per
+  entry and warmed back as read-only maps;
 * :mod:`repro.serving.engine` — the micro-batching :class:`InferenceServer`;
 * :mod:`repro.serving.router` — the multi-artifact :class:`ShardRouter`
   front door with sync ``submit`` and asyncio ``asubmit``;

@@ -12,19 +12,23 @@ Two layers of reuse make warm inference cheap:
 
 Both caches can persist their entries to disk (:meth:`LRUCache.spill`)
 and reload them in another process (:meth:`LRUCache.warm`): each entry
-becomes one ``.npz`` file named by a digest of its key and tagged with the
-cache's ``kind``, so operator and logit entries share one directory and
-cold starts are warm across processes and machines.
+becomes one directory named by a digest of its key, holding a
+``meta.json`` tagged with the cache's ``kind`` and one ``.npy`` file per
+distinct array, so operator and logit entries share one directory and
+cold starts are warm across processes and machines.  A warmed array is a
+read-only view of its mapped file: a warm start copies nothing, and the
+processes of one host share the pages a forward touches.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 import threading
-import zipfile
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -44,12 +48,13 @@ PathLike = Union[str, Path]
 DEFAULT_CAPACITY = 8
 
 #: bumped whenever the on-disk spill layout or the key it is filed under
-#: changes.  Version 2 keys entries by ``graph-v3`` block fingerprints; a
-#: version-1 entry's per-row key can never be looked up again.
-SPILL_FORMAT_VERSION = 2
+#: changes.  Version 3 stores an entry as a directory of ``.npy`` files;
+#: version 2 stored one ``.npz`` file, which ``warm()`` passes over, so the
+#: first start after an upgrade runs cold once.
+SPILL_FORMAT_VERSION = 3
 
-#: the structure-descriptor array stored inside every spill file.
-_SPILL_META = "__spill__"
+#: the key, kind and structure descriptor of one spilled entry.
+_META_FILE = "meta.json"
 
 
 @dataclass
@@ -179,20 +184,22 @@ class LRUCache(StatsSource):
     def spill(self, directory: PathLike, kind: str, overwrite: bool = False) -> int:
         """Persist the entries under ``directory``; returns the count written.
 
-        Each entry becomes one ``.npz`` file named by a digest of its key;
-        the key itself and ``kind`` ride inside the file, so caches of
-        different kinds can share one directory.  A key whose file already
-        exists is skipped unless ``overwrite`` is set — the content is a
-        deterministic function of the key, so re-encoding it (e.g. on
-        every warm benchmark run) would only burn CPU writing identical
-        bytes.  Writes go through a temp-file + atomic-rename path, so any
-        number of worker processes can spill into one shared directory
-        concurrently without a coordination step — a reader never sees a
-        partial file.  Two entry classes are skipped by design:
-        hand-constructed models carry a per-process ``#token`` signature
-        that is meaningless in another process, and values the codec
-        cannot represent (a preprocess result holding e.g. an open
-        resource) are left in memory only.
+        Each entry becomes one directory named by a digest of its key,
+        holding a ``meta.json`` (the key, ``kind`` and the value's
+        nesting) and one ``.npy`` file per distinct array, so caches of
+        different kinds can share one directory and an array the value
+        references several times is stored once.  A key whose entry
+        already exists is skipped unless ``overwrite`` is set — the
+        content is a deterministic function of the key, so re-encoding it
+        (e.g. on every warm benchmark run) would only burn CPU writing
+        identical bytes.  Each entry is written into a ``*.tmp`` sibling
+        and renamed into place, so any number of worker processes can
+        spill into one shared directory concurrently without a
+        coordination step, and a reader never sees a partial entry.  Two
+        entry classes are skipped by design: hand-constructed models carry
+        a per-process ``#token`` signature that is meaningless in another
+        process, and values the codec cannot represent (a preprocess
+        result holding e.g. an open resource) are left in memory only.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -203,53 +210,50 @@ class LRUCache(StatsSource):
             signature = key[0] if isinstance(key, tuple) else key.split("/", 1)[0]
             if "#" in signature:
                 continue
-            path = directory / _spill_filename(str(key))
+            path = directory / _spill_dirname(str(key))
             if not overwrite and path.exists():
                 continue
             arrays: List[np.ndarray] = []
             try:
-                structure = _encode(value, arrays)
+                structure = _encode(value, _identity_slots(arrays))
             except TypeError:
                 continue
-            payload = {f"a{index}": array for index, array in enumerate(arrays)}
-            payload[_SPILL_META] = np.array(
-                json.dumps(
-                    {
-                        "format_version": SPILL_FORMAT_VERSION,
-                        "kind": kind,
-                        "key": list(key) if isinstance(key, tuple) else key,
-                        "structure": structure,
-                    }
-                )
-            )
-            _atomic_savez(path, payload)
+            meta = {
+                "format_version": SPILL_FORMAT_VERSION,
+                "kind": kind,
+                "key": list(key) if isinstance(key, tuple) else key,
+                "structure": structure,
+            }
+            _write_entry(path, meta, arrays, overwrite)
             written += 1
         return written
 
     def warm(self, directory: PathLike, kind: str) -> int:
         """Reload the ``kind`` entries spilled under ``directory``.
 
-        Unreadable, foreign or version-mismatched files and other kinds'
-        entries are skipped — a stale cache directory must never take
-        serving down.  The capacity grows to hold everything loaded (it
-        never shrinks); returns the number of entries restored.
+        Every array comes back as a read-only view of its file, mapped
+        into memory, not copied: a warm start reads only each entry's
+        metadata, a forward pages in the blocks it touches, and processes
+        on one host that map one directory share those pages.  Unreadable,
+        foreign, partial (``*.tmp``) or version-mismatched entries and
+        other kinds' entries are skipped — a stale cache directory must
+        never take serving down.  The capacity grows to hold everything
+        loaded (it never shrinks); returns the number of entries restored.
         """
         directory = Path(directory)
         if not directory.is_dir():
             return 0
         loaded: List[Tuple[Any, Any]] = []
-        for path in sorted(directory.glob("*.npz")):
+        for path in sorted(directory.iterdir()):
+            if path.suffix == ".tmp" or not path.is_dir():
+                continue
             try:
-                with np.load(path, allow_pickle=False) as data:
-                    meta = json.loads(str(data[_SPILL_META]))
-                    if meta.get("format_version") != SPILL_FORMAT_VERSION:
-                        continue
-                    # Operator spills written before kinds existed carry none.
-                    if meta.get("kind", "operator") != kind:
-                        continue
-                    key = meta["key"]
-                    key = tuple(key) if isinstance(key, list) else key
-                    loaded.append((key, _decode(meta["structure"], data)))
+                meta = json.loads((path / _META_FILE).read_text())
+                if meta.get("format_version") != SPILL_FORMAT_VERSION or meta.get("kind") != kind:
+                    continue
+                key = meta["key"]
+                key = tuple(key) if isinstance(key, list) else key
+                loaded.append((key, _decode(meta["structure"], _mapped_slots(path))))
             except _WARM_ERRORS:
                 continue
         if loaded:
@@ -273,20 +277,17 @@ class LRUCache(StatsSource):
 # On-disk spill codec
 # ---------------------------------------------------------------------- #
 # A preprocess result is an arbitrary nesting of dicts / lists / tuples
-# over ndarrays, autograd Tensors, scipy sparse operators, DirectedGraph
-# objects and JSON scalars.  The codec flattens every array into a numbered
-# slot of one .npz payload and records the nesting as a JSON structure
-# descriptor, so a reload is byte-identical (dtypes and shapes included).
+# over ndarrays, autograd Tensors, scipy sparse operators and JSON
+# scalars.  The codec stores every distinct array object in a numbered
+# slot, one ``.npy`` file each, and records the nesting as a JSON
+# structure descriptor, so a reload is byte-identical (dtypes and shapes
+# included) and an array referenced several times (ADPA's raw features
+# sit in every propagation step) is written, mapped and held once.
 
 
-def _encode(value: Any, arrays: List[np.ndarray]) -> Dict[str, Any]:
-    """Encode ``value`` into a JSON node, appending its arrays to ``arrays``."""
-    from ..graph.digraph import DirectedGraph
+def _encode(value: Any, slot: Callable[[np.ndarray], int]) -> Dict[str, Any]:
+    """Encode ``value`` into a JSON node; ``slot`` numbers its arrays."""
     from ..nn.tensor import Tensor
-
-    def slot(array: np.ndarray) -> int:
-        arrays.append(np.ascontiguousarray(array))
-        return len(arrays) - 1
 
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         value = value.item()
@@ -311,37 +312,42 @@ def _encode(value: Any, arrays: List[np.ndarray]) -> Dict[str, Any]:
             "indptr": slot(csr.indptr),
             "shape": list(csr.shape),
         }
-    if isinstance(value, DirectedGraph):
-        node: Dict[str, Any] = {
-            "t": "graph",
-            "name": value.name,
-            "meta": json.dumps(value.meta, default=str),
-            "adjacency": _encode(value.adjacency, arrays),
-            "features": slot(value.features),
-            "labels": slot(value.labels),
-        }
-        for mask_name in ("train_mask", "val_mask", "test_mask"):
-            mask = getattr(value, mask_name)
-            node[mask_name] = None if mask is None else slot(mask)
-        return node
     if isinstance(value, dict):
         items = []
         for key, entry in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"cannot spill dict key of type {type(key).__name__}")
-            items.append([key, _encode(entry, arrays)])
+            items.append([key, _encode(entry, slot)])
         return {"t": "dict", "items": items}
     if isinstance(value, (list, tuple)):
         return {
             "t": "list" if isinstance(value, list) else "tuple",
-            "items": [_encode(entry, arrays) for entry in value],
+            "items": [_encode(entry, slot) for entry in value],
         }
     raise TypeError(f"cannot spill value of type {type(value).__name__}")
 
 
-def _decode(node: Dict[str, Any], data) -> Any:
-    """Inverse of :func:`_encode`; ``data`` is the opened ``.npz`` payload."""
-    from ..graph.digraph import DirectedGraph
+def _identity_slots(arrays: List[np.ndarray]) -> Callable[[np.ndarray], int]:
+    """A ``slot`` for :func:`_encode`: one slot per distinct array object.
+
+    ``arrays`` keeps every slotted object alive until the entry is
+    written, so no id is recycled (``tocsr()`` of a non-CSR operator
+    makes temporaries) and aliased under another array.
+    """
+    slots: Dict[int, int] = {}
+
+    def slot(array: np.ndarray) -> int:
+        index = slots.get(id(array))
+        if index is None:
+            index = slots[id(array)] = len(arrays)
+            arrays.append(array)
+        return index
+
+    return slot
+
+
+def _decode(node: Dict[str, Any], array: Callable[[int], np.ndarray]) -> Any:
+    """Inverse of :func:`_encode`; ``array`` reads one slot."""
     from ..nn.tensor import Tensor
 
     kind = node["t"]
@@ -350,77 +356,88 @@ def _decode(node: Dict[str, Any], data) -> Any:
     if kind == "slice":
         return slice(*node["v"])
     if kind == "tensor":
-        return Tensor(data[f"a{node['i']}"])
+        return Tensor(array(node["i"]))
     if kind == "array":
-        return data[f"a{node['i']}"].copy()
+        return array(node["i"])
     if kind == "sparse":
         csr = sp.csr_matrix(
-            (data[f"a{node['data']}"], data[f"a{node['indices']}"], data[f"a{node['indptr']}"]),
+            (array(node["data"]), array(node["indices"]), array(node["indptr"])),
             shape=tuple(node["shape"]),
         )
         return csr.asformat(node["format"])
-    if kind == "graph":
-        masks = {
-            mask_name: data[f"a{node[mask_name]}"].astype(bool)
-            for mask_name in ("train_mask", "val_mask", "test_mask")
-            if node[mask_name] is not None
-        }
-        return DirectedGraph(
-            adjacency=_decode(node["adjacency"], data),
-            features=data[f"a{node['features']}"].copy(),
-            labels=data[f"a{node['labels']}"].copy(),
-            name=node["name"],
-            meta=json.loads(node["meta"]),
-            **masks,
-        )
     if kind == "dict":
-        return {key: _decode(entry, data) for key, entry in node["items"]}
+        return {key: _decode(entry, array) for key, entry in node["items"]}
     if kind == "list":
-        return [_decode(entry, data) for entry in node["items"]]
+        return [_decode(entry, array) for entry in node["items"]]
     if kind == "tuple":
-        return tuple(_decode(entry, data) for entry in node["items"])
+        return tuple(_decode(entry, array) for entry in node["items"])
     raise ValueError(f"unknown spill node type {kind!r}")
 
 
-def _spill_filename(key: str) -> str:
-    return hashlib.blake2b(key.encode(), digest_size=16).hexdigest() + ".npz"
+def _mapped_slots(entry: Path) -> Callable[[int], np.ndarray]:
+    """An ``array`` for :func:`_decode`: each slot's file mapped once, read-only.
+
+    A slot is a plain ``ndarray`` view of the map, not the ``np.memmap``
+    subclass ``np.load`` returns, whose Python hooks would run on every
+    array derived from it.  Nothing is read until a page is touched.
+    """
+    mapped: Dict[int, np.ndarray] = {}
+
+    def array(index: int) -> np.ndarray:
+        index = int(index)
+        if index not in mapped:
+            path = entry / f"{index}.npy"
+            mapped[index] = np.load(path, mmap_mode="r", allow_pickle=False).view(np.ndarray)
+        return mapped[index]
+
+    return array
 
 
-def _atomic_savez(path: Path, payload: Dict[str, np.ndarray]) -> None:
-    """Write an ``.npz`` payload so readers never observe a partial file.
+def _spill_dirname(key: str) -> str:
+    return hashlib.blake2b(key.encode(), digest_size=16).hexdigest()
 
-    The payload is stored, not deflated: float features barely compress
-    (about 5% on an ADPA spill), and a warm start would pay the inflate
-    on every file, which costs several times the read and more than
-    recomputing the preprocess.  ``np.load`` reads either layout, so
-    directories spilled compressed keep warming.
+
+def _write_entry(
+    path: Path, meta: Dict[str, Any], arrays: List[np.ndarray], overwrite: bool
+) -> None:
+    """Write one entry directory so readers never observe a partial one.
 
     Concurrent workers spill into one shared directory without any
-    coordination step, so two processes can decide to write the same key at
-    the same time.  A plain ``savez`` on the final path would let ``warm()``
-    in a third process open a half-written zip.  Writing to a unique
-    temporary file in the same directory and ``os.replace``-ing it into
-    place makes the final name appear atomically; the losing writer of a
-    race simply replaces the file with identical bytes (the content is a
-    deterministic function of the key).
+    coordination step, so two processes can decide to write the same key
+    at the same time.  Each writer fills its own ``*.tmp`` sibling and
+    renames it into place, so the entry appears atomically; when another
+    writer's entry took the name first, ours is dropped, since the content
+    is a deterministic function of the key.  An overwrite renames the old
+    entry aside before the new one goes in: no file is ever truncated or
+    rewritten in place, so a process that has the old arrays mapped keeps
+    reading valid pages.
     """
-    handle, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.stem + ".", suffix=".tmp"
+    staging = Path(
+        tempfile.mkdtemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     )
+    retired = staging.with_name(staging.stem + ".old.tmp")
     try:
-        with os.fdopen(handle, "wb") as stream:
-            np.savez(stream, **payload)
-        os.replace(tmp_name, path)
-    except BaseException:
+        for index, array in enumerate(arrays):
+            np.save(staging / f"{index}.npy", np.ascontiguousarray(array), allow_pickle=False)
+        (staging / _META_FILE).write_text(json.dumps(meta))
+        if overwrite:
+            try:
+                os.rename(path, retired)
+            except FileNotFoundError:
+                pass
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            os.rename(staging, path)
+        except OSError as error:
+            if error.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(retired, ignore_errors=True)
 
 
-#: everything a corrupt or foreign .npz in a cache directory can raise.
-_WARM_ERRORS = (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
+#: everything a corrupt, partial or foreign entry in a cache directory
+#: can raise.
+_WARM_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 
 class OperatorCache(StatsSource):

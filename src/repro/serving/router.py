@@ -298,9 +298,10 @@ class ShardRouter(StatsSource):
     def spill(self, directory: PathLike) -> Dict[str, int]:
         """Persist both shared caches into ``directory``.
 
-        Operator and logit entries share the directory; each file's spill
-        meta names its cache (see :meth:`LRUCache.spill`).  Returns the
-        number of files written per cache.
+        Operator and logit entries share the directory, one entry
+        directory each, whose ``meta.json`` names its cache (see
+        :meth:`LRUCache.spill`).  Returns the number of entries written
+        per cache.
         """
         return {
             "operators": self._operator_cache.spill(directory),
@@ -313,15 +314,14 @@ class ShardRouter(StatsSource):
         Call it before registering artifacts, so their restores hit the
         warmed preprocess entries.  A warmed logit entry serves only the
         model signature, weights version and graph fingerprint it was
-        computed for, so a stale spill is never served.
+        computed for, so a stale spill is never served.  Warmed arrays are
+        read-only maps of the spilled files, frozen as the engine freezes
+        the logits it stores.
         """
-        warmed = {
+        return {
             "operators": self._operator_cache.warm(directory),
             "logits": self._logit_cache.warm(directory, "logits"),
         }
-        for _, logits in self._logit_cache.entries():
-            logits.setflags(write=False)  # as the engine freezes what it stores
-        return warmed
 
     def shards(self) -> List[ShardInfo]:
         with self._lock:

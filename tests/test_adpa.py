@@ -82,6 +82,110 @@ class TestPropagation:
         assert set(kept) & {"AAt", "AtA"}
 
 
+def _per_word_blocks(graph, order, num_steps):
+    """ADPA's step blocks with every DP word built, normalised and propagated alone."""
+    import itertools
+
+    import scipy.sparse as sp
+
+    from repro.graph.operators import _binarize, add_self_loops, row_normalized
+
+    base = {"A": sp.csr_matrix(graph.adjacency), "At": sp.csr_matrix(graph.adjacency).T.tocsr()}
+    operators = {}
+    for length in range(1, order + 1):
+        for word in itertools.product(("A", "At"), repeat=length):
+            matrix = base[word[0]].copy()
+            for symbol in word[1:]:
+                matrix = (matrix @ base[symbol]).tocsr()
+            matrix = _binarize(matrix, remove_self_loops=length > 1)
+            operators["".join(word)] = row_normalized(add_self_loops(matrix))
+    current = {name: graph.features for name in operators}
+    steps = []
+    for _ in range(num_steps):
+        current = {name: operator @ current[name] for name, operator in operators.items()}
+        steps.append([graph.features] + [current[name] for name in operators])
+    return steps
+
+
+class TestOperatorAliasing:
+    """On A = Aᵀ every DP word of one length is one matrix, built and propagated once."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("view", ["natural", "undirected"])
+    @pytest.mark.parametrize("dataset", ["texas", "chameleon", "coraml"])
+    def test_cache_is_bitwise_the_per_word_construction(self, dataset, view, order):
+        from repro.datasets import load_dataset
+        from repro.graph.transforms import to_undirected
+
+        graph = load_dataset(dataset)
+        if view == "undirected":
+            graph = to_undirected(graph)
+        model = ADPA.from_graph(graph, hidden=8, num_steps=3, order=order)
+        cache = model.preprocess(graph)
+        expected = _per_word_blocks(graph, order, num_steps=3)
+        for blocks, reference in zip(cache["steps"], expected):
+            assert len(blocks) == len(reference)
+            for block, array in zip(blocks, reference):
+                assert block.data.dtype == array.dtype
+                np.testing.assert_array_equal(block.data, array)
+        distinct = {id(block.data) for blocks in cache["steps"] for block in blocks}
+        words = sum(2 ** length for length in range(1, order + 1))
+        # X, then per step one block per word (directed) or per length.
+        per_step = order if view == "undirected" else words
+        assert len(distinct) == 1 + 3 * per_step
+
+    def test_symmetric_words_share_one_matrix(self, homophilous_graph):
+        from repro.graph.operators import directed_pattern_operators
+        from repro.graph.transforms import to_undirected
+
+        symmetric = to_undirected(homophilous_graph)
+        operators = build_dp_operators(symmetric, order=2)
+        assert operators["A"] is operators["At"]
+        assert operators["AA"] is operators["AtAt"] is operators["AAt"] is operators["AtA"]
+        raw = directed_pattern_operators(symmetric.adjacency, order=2)
+        assert raw["AA"] is raw["AtA"] and raw["A"] is not raw["AA"]
+        directed = build_dp_operators(homophilous_graph, order=2)
+        assert len({id(matrix) for matrix in directed.values()}) == 6
+
+    def test_a_symmetric_matrix_stored_out_of_order_keeps_every_word(self, homophilous_graph):
+        import scipy.sparse as sp
+
+        from repro.graph.transforms import to_undirected
+
+        # A = Aᵀ in value, but each row's entries are stored in reverse, so
+        # A's bytes differ from Aᵀ's (sorted) and aliasing would change the
+        # summation order of the propagation.
+        adjacency = to_undirected(homophilous_graph).adjacency.tocsr()
+        indices, data = adjacency.indices.copy(), adjacency.data.copy()
+        for row in range(adjacency.shape[0]):
+            span = slice(adjacency.indptr[row], adjacency.indptr[row + 1])
+            indices[span], data[span] = indices[span][::-1], data[span][::-1]
+        reversed_rows = sp.csr_matrix((data, indices, adjacency.indptr), shape=adjacency.shape)
+        graph = homophilous_graph.with_(adjacency=reversed_rows)
+        assert not graph.adjacency.has_sorted_indices
+        operators = build_dp_operators(graph, order=2)
+        assert operators["A"] is not operators["At"]
+        model = ADPA.from_graph(graph, hidden=8, num_steps=3)
+        cache = model.preprocess(graph)
+        for blocks, reference in zip(cache["steps"], _per_word_blocks(graph, 2, num_steps=3)):
+            for block, array in zip(blocks, reference):
+                np.testing.assert_array_equal(block.data, array)
+
+    def test_row_cache_cuts_each_distinct_block_once(self, homophilous_graph):
+        from repro.graph.transforms import to_undirected
+
+        graph = to_undirected(homophilous_graph)
+        model = ADPA.from_graph(graph, hidden=8, num_steps=3)
+        cache = model.preprocess(graph)
+        rows = np.flatnonzero(graph.train_mask)
+        sliced = model.row_cache(cache, rows)
+        cut = {id(block.data) for blocks in sliced["steps"] for block in blocks}
+        assert len(cut) == len({id(block.data) for blocks in cache["steps"] for block in blocks})
+        for blocks, full in zip(sliced["steps"], cache["steps"]):
+            for block, whole in zip(blocks, full):
+                np.testing.assert_array_equal(block.data, whole.data[rows])
+
+
 class TestAttentionModules:
     def _blocks(self, num_blocks=3, n=10, f=8, seed=0):
         rng = np.random.default_rng(seed)

@@ -1,6 +1,8 @@
 """On-disk operator/logit-cache persistence: spill/warm round trips and CLI wiring."""
 
+import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,30 @@ from repro.serving.cache import SPILL_FORMAT_VERSION
 
 QUICK = TrainConfig(epochs=4, patience=4)
 
-#: decoupled + coupled + lazily-built architectures: Tensors, sparse
-#: operators and a DirectedGraph all appear in these preprocess caches.
+#: decoupled + coupled + lazily-built architectures: Tensors and sparse
+#: operators appear in these preprocess caches.
 MODELS = [("SGC", {}), ("GCN", {"hidden": 8}), ("MagNet", {"hidden": 8}),
           ("ADPA", {"hidden": 8, "num_steps": 2})]
+
+
+def spilled_entries(directory):
+    """The complete entry directories of a spill directory, sorted."""
+    return sorted(
+        path for path in directory.iterdir()
+        if path.suffix != ".tmp" and (path / "meta.json").is_file()
+    )
+
+
+def assert_complete_entry(entry):
+    """An entry holds its meta and one loadable ``.npy`` per array slot."""
+    meta = json.loads((entry / "meta.json").read_text())
+    assert meta["format_version"] == SPILL_FORMAT_VERSION
+    slots = sorted(entry.glob("*.npy"))
+    assert slots and [path.name for path in slots] == sorted(
+        f"{index}.npy" for index in range(len(slots))
+    )
+    for path in slots:
+        np.load(path, allow_pickle=False)
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +67,9 @@ class TestSpillWarm:
                 handle.predict_logits(),
             )
 
-        # A router's spill files and an artifact's graph are stored, not
-        # deflated; files in the deflated layout earlier versions wrote
-        # still warm and load bit-identically.
+        # A router spills one entry directory per cache entry; an
+        # artifact's graph is stored, not deflated, and a graph written
+        # deflated by earlier versions still loads bit-identically.
         artifacts = [tmp_path / f"artifact-{index}" for index in range(len(trained_handles))]
         for handle, directory in zip(trained_handles, artifacts):
             handle.save(directory)
@@ -65,9 +87,11 @@ class TestSpillWarm:
         expected = served_logits(spilling)
         spill = tmp_path / "router-spill"
         spilling.spill(spill)
-        written = sorted(spill.glob("*.npz")) + [d / "graph.npz" for d in artifacts]
-        assert len(written) == 3 * len(trained_handles)
-        for path in written:
+        entries = spilled_entries(spill)
+        assert len(entries) == 2 * len(trained_handles)
+        for entry in entries:
+            assert_complete_entry(entry)
+        for path in [directory / "graph.npz" for directory in artifacts]:
             with zipfile.ZipFile(path) as archive:
                 methods = {member.compress_type for member in archive.infolist()}
             assert methods == {zipfile.ZIP_STORED}, path
@@ -93,13 +117,18 @@ class TestSpillWarm:
         cache.seed(handle.model, handle.graph, handle.model.preprocess(handle.graph))
         assert cache.spill(tmp_path) == 1
         # The content is a pure function of the key: a re-spill writes
-        # nothing (and an unchanged mtime proves the file was not touched).
-        path = next(tmp_path.glob("*.npz"))
-        before = path.stat().st_mtime_ns
+        # nothing (and unchanged mtimes prove the entry was not touched).
+        [entry] = spilled_entries(tmp_path)
+        files = [entry, *entry.iterdir()]
+        before = [path.stat().st_mtime_ns for path in files]
         assert cache.spill(tmp_path) == 0
-        assert path.stat().st_mtime_ns == before
+        assert [path.stat().st_mtime_ns for path in files] == before
+        # An overwrite renames a fresh entry into place and leaves no
+        # staging directory behind.
         assert cache.spill(tmp_path, overwrite=True) == 1
-        assert len(list(tmp_path.glob("*.npz"))) == 1
+        assert spilled_entries(tmp_path) == [entry]
+        assert sorted(tmp_path.iterdir()) == [entry]
+        assert OperatorCache().warm(tmp_path) == 1
 
     def test_hand_constructed_models_are_not_spilled(self, tmp_path):
         from repro.models.mlp import MLPClassifier
@@ -115,8 +144,15 @@ class TestSpillWarm:
         handle = trained_handles[0]
         cache.seed(handle.model, handle.graph, handle.model.preprocess(handle.graph))
         cache.spill(tmp_path)
+        [entry] = spilled_entries(tmp_path)
         (tmp_path / "junk.npz").write_bytes(b"not an npz")
         np.savez(tmp_path / "foreign.npz", values=np.arange(3))
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "garbled").mkdir()
+        (tmp_path / "garbled" / "meta.json").write_text("{not json")
+        torn = tmp_path / "torn"
+        torn.mkdir()
+        (torn / "meta.json").write_text((entry / "meta.json").read_text())
         warmed = OperatorCache()
         assert warmed.warm(tmp_path) == 1
 
@@ -135,20 +171,157 @@ class TestSpillWarm:
 
     @pytest.mark.parametrize("step", [-1, 1], ids=["previous", "next"])
     def test_format_version_gates_reload(self, trained_handles, tmp_path, step):
-        import json
-
         cache = OperatorCache()
         handle = trained_handles[0]
         cache.seed(handle.model, handle.graph, handle.model.preprocess(handle.graph))
         cache.spill(tmp_path)
         assert OperatorCache().warm(tmp_path) == 1
-        path = next(tmp_path.glob("*.npz"))
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["__spill__"]))
-            arrays = {k: data[k] for k in data.files if k != "__spill__"}
+        [entry] = spilled_entries(tmp_path)
+        meta = json.loads((entry / "meta.json").read_text())
         meta["format_version"] = SPILL_FORMAT_VERSION + step
-        np.savez(path, __spill__=np.array(json.dumps(meta)), **arrays)
+        (entry / "meta.json").write_text(json.dumps(meta))
         assert OperatorCache().warm(tmp_path) == 0
+
+
+class TestMappedWarm:
+    def test_warmed_arrays_are_read_only_maps_of_the_spill(self, trained_handles, tmp_path):
+        from repro.nn import Tensor
+
+        cache = OperatorCache()
+        for handle in trained_handles:
+            cache.seed(handle.model, handle.graph, handle.model.preprocess(handle.graph))
+        cache.spill(tmp_path)
+        warmed = OperatorCache()
+        warmed.warm(tmp_path)
+
+        def arrays(value):
+            if isinstance(value, Tensor):
+                yield value.data
+            elif isinstance(value, np.ndarray):
+                yield value
+            elif hasattr(value, "indptr"):
+                yield from (value.data, value.indices, value.indptr)
+            elif isinstance(value, dict):
+                for entry in value.values():
+                    yield from arrays(entry)
+            elif isinstance(value, (list, tuple)):
+                for entry in value:
+                    yield from arrays(entry)
+
+        def mapped_file(array):
+            base = array.base
+            while isinstance(base, np.ndarray) and not isinstance(base, np.memmap):
+                base = base.base
+            return Path(base.filename) if isinstance(base, np.memmap) else None
+
+        root = tmp_path.resolve()
+        for handle in trained_handles:
+            found = list(arrays(warmed.lookup(handle.model, handle.graph)))
+            assert found
+            for array in found:
+                # A plain ndarray view (not the np.memmap subclass) of a
+                # file mapped from the spill directory, never a copy.
+                assert type(array) is np.ndarray
+                assert not array.flags.writeable
+                path = mapped_file(array)
+                assert path is not None and root in path.parents
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    def test_an_array_referenced_twice_is_stored_once(self, tmp_path):
+        from repro.nn import Tensor
+
+        shared = np.arange(12.0).reshape(3, 4)
+        other = np.ones(5)
+        cache = LRUCache()
+        cache.put("Model:sig/graph", {"x": shared, "steps": [[Tensor(shared), other], (shared,)]})
+        assert cache.spill(tmp_path, "operator") == 1
+        [entry] = spilled_entries(tmp_path)
+        assert len(list(entry.glob("*.npy"))) == 2
+
+        warmed = LRUCache()
+        assert warmed.warm(tmp_path, "operator") == 1
+        value = warmed.get("Model:sig/graph")
+        assert value["x"] is value["steps"][0][0].data is value["steps"][1][0]
+        np.testing.assert_array_equal(value["x"], shared)
+        np.testing.assert_array_equal(value["steps"][0][1], other)
+
+    def test_overwrite_leaves_a_mapped_reader_its_bytes(self, tmp_path):
+        # An overwrite renames a new entry in; it never rewrites the files
+        # a warmed process has mapped.
+        key = "Model:sig/graph"
+        cache = LRUCache()
+        cache.put(key, {"x": np.zeros(1024)})
+        cache.spill(tmp_path, "operator")
+        reader = LRUCache()
+        assert reader.warm(tmp_path, "operator") == 1
+        cache.put(key, {"x": np.ones(1024)})
+        assert cache.spill(tmp_path, "operator", overwrite=True) == 1
+        np.testing.assert_array_equal(reader.get(key)["x"], np.zeros(1024))
+        fresh = LRUCache()
+        assert fresh.warm(tmp_path, "operator") == 1
+        np.testing.assert_array_equal(fresh.get(key)["x"], np.ones(1024))
+
+    def test_undirected_adpa_spills_each_distinct_block_once(self, tmp_path):
+        from repro.graph.transforms import to_undirected
+        from repro.models.registry import create_model
+
+        graph = to_undirected(Session().load("texas").graph)
+        model = create_model("ADPA", graph, hidden=8, num_steps=3)
+        value = model.preprocess(graph)
+        cache = OperatorCache()
+        cache.seed(model, graph, value)
+        cache.spill(tmp_path)
+        [entry] = spilled_entries(tmp_path)
+        # X plus one block per hop length per step: 1 + 2 * 3, not 21.
+        assert len(list(entry.glob("*.npy"))) == 7
+        warmed = OperatorCache()
+        warmed.warm(tmp_path)
+        np.testing.assert_array_equal(
+            model.predict_logits(graph, warmed.lookup(model, graph)),
+            model.predict_logits(graph, value),
+        )
+
+    def test_warmed_shard_takes_a_delta_like_a_cold_one(self, trained_handles, tmp_path):
+        from repro.graph import GraphDelta
+
+        handle = trained_handles[0]  # SGC: update_preprocess patches the warmed cache
+        artifact = tmp_path / "artifact"
+        handle.save(artifact)
+        spilling = Session().serve(artifact)
+        with spilling:
+            spilling.predict([0], timeout=60)
+        spilling.spill(tmp_path / "spill")
+
+        row = np.full(handle.graph.num_features, 0.5)
+        delta = GraphDelta(add_edges=[[0, 7], [3, 3]], set_features={2: row})
+        served = {}
+        for label, cache_dir in (("cold", None), ("warm", tmp_path / "spill")):
+            router = Session().serve(artifact, cache_dir=cache_dir)
+            with router:
+                name = router.shards()[0].name
+                swap = router.update_shard(name, delta)
+                assert swap.in_place, label
+                ticket = router.submit(shard=name)
+                ticket.result(timeout=60)
+                served[label] = ticket.logits
+            assert router.operator_cache.stats().misses == (label == "cold")
+        np.testing.assert_array_equal(served["warm"], served["cold"])
+
+    def test_warm_skips_a_killed_writers_staging_dir(self, trained_handles, tmp_path):
+        cache = OperatorCache()
+        handle = trained_handles[0]
+        cache.seed(handle.model, handle.graph, handle.model.preprocess(handle.graph))
+        cache.spill(tmp_path)
+        [entry] = spilled_entries(tmp_path)
+        # A writer killed before its rename leaves a complete-looking
+        # staging directory under the entry's name plus ".tmp".
+        entry.rename(tmp_path / f"{entry.name}.killed.tmp")
+        assert OperatorCache().warm(tmp_path) == 0
+        # The next spill writes the entry as if the leftover were absent.
+        assert cache.spill(tmp_path) == 1
+        assert spilled_entries(tmp_path) == [entry]
+        assert OperatorCache().warm(tmp_path) == 1
 
 
 class TestWarmRestore:
@@ -231,9 +404,9 @@ class TestWarmRestore:
         count = len(trained_handles)
         assert spilling.spill(spill) == {"operators": count, "logits": count}
 
-        # Operator and logit files share the directory; each cache loads
+        # Operator and logit entries share the directory; each cache loads
         # only its own kind.
-        assert len(list(spill.glob("*.npz"))) == 2 * count
+        assert len(spilled_entries(spill)) == 2 * count
         assert OperatorCache().warm(spill) == count
         assert LRUCache().warm(spill, "logits") == count
 
@@ -257,7 +430,7 @@ class TestServeBenchCacheDir:
         assert cli_main(args) == 0
         first = capsys.readouterr().out
         assert "spilled 1 preprocess entry" in first
-        assert cache_dir.is_dir() and list(cache_dir.glob("*.npz"))
+        assert cache_dir.is_dir() and spilled_entries(cache_dir)
 
         assert cli_main(args) == 0
         second = capsys.readouterr().out
@@ -288,7 +461,6 @@ class TestConcurrentSpill:
         import os
         import subprocess
         import sys
-        from pathlib import Path
 
         spill_dir = tmp_path / "shared-spill"
         env = dict(os.environ)
@@ -308,11 +480,11 @@ class TestConcurrentSpill:
             _, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err.decode()
 
-        # Every file in the shared dir must be a complete, loadable archive
-        # — the atomic tmp-file + rename spill cannot leave torn writes.
-        files = list(spill_dir.glob("*.npz"))
-        assert files
-        for path in files:
-            with np.load(path, allow_pickle=False) as archive:
-                assert archive.files
+        # Every entry in the shared dir must be complete and loadable, and
+        # no staging directory may outlive its writer — the tmp-dir +
+        # rename spill cannot leave torn writes.
+        entries = spilled_entries(spill_dir)
+        assert entries and sorted(spill_dir.iterdir()) == entries
+        for entry in entries:
+            assert_complete_entry(entry)
         assert OperatorCache().warm(spill_dir) == 1

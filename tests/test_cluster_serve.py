@@ -169,7 +169,7 @@ class TestAggregation:
 
     def test_workers_share_one_spilled_cache_dir(self, stack):
         _, _, cache_dir = stack
-        assert list(cache_dir.glob("*.npz"))  # someone spilled on load
+        assert list(cache_dir.glob("*/meta.json"))  # someone spilled on load
 
 
 class TestWarmFleet:
