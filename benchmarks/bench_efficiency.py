@@ -42,6 +42,9 @@ EPOCH_GROWTH_BOUND = 1.25
 
 def build_efficiency():
     graph = load_dataset("squirrel", seed=0)
+    # Untimed: the process's first fit pays one-off start-up costs that
+    # would otherwise land on MLP's epoch, the ADPA/MLP check's denominator.
+    profile_model(MODELS[0], graph, num_epochs=5)
     return efficiency_report(MODELS, graph, num_epochs=5, model_kwargs=MODEL_KWARGS)
 
 

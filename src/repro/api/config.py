@@ -9,7 +9,7 @@ network front-end without kwargs drift:
   :class:`repro.training.Trainer`);
 * :class:`AmudConfig` — the AMUD threshold θ and the model the guidance
   selects for each paradigm;
-* :class:`ServeConfig` — micro-batching, caching and back-pressure limits
+* :class:`ServeConfig` — the coalescing window and the back-pressure limit
   for :class:`repro.serving.InferenceServer` / :class:`repro.serving.ShardRouter`;
 * :class:`ExperimentConfig` — the paper's repeated-trial protocol (seeds,
   trainer settings, model kwargs, worker bound);
@@ -187,51 +187,24 @@ class HttpConfig:
 class ServeConfig:
     """Serving limits shared by the single engine and the shard router."""
 
-    max_batch_size: int = 64
     max_wait_ms: float = 2.0
-    cache_logits: bool = True
-    logit_cache_capacity: int = 32
     #: cap on in-flight requests across all shards of one router: the only
     #: admission bound (the HTTP front doors answer overflow with 429).
     router_max_pending: int = 256
-    #: optional HTTP front-door settings; ``Session.serve_http`` uses the
-    #: defaults when this is ``None``.
-    http: Optional[HttpConfig] = None
 
     def __post_init__(self) -> None:
-        if self.http is not None and not isinstance(self.http, HttpConfig):
-            raise TypeError(
-                f"http must be an HttpConfig or None, got {type(self.http).__name__}"
-            )
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
-        if self.logit_cache_capacity < 1:
-            raise ValueError(
-                f"logit_cache_capacity must be >= 1, got {self.logit_cache_capacity}"
-            )
         if self.router_max_pending < 1:
             raise ValueError(f"router_max_pending must be >= 1, got {self.router_max_pending}")
 
     def engine_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs for one :class:`InferenceServer`."""
-        return {
-            "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
-            "cache_logits": self.cache_logits,
-            "logit_cache_capacity": self.logit_cache_capacity,
-        }
+        return {"max_wait_ms": self.max_wait_ms}
 
     def router_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs for a :class:`ShardRouter`."""
-        return {
-            "max_pending": self.router_max_pending,
-            "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
-            "cache_logits": self.cache_logits,
-            "logit_cache_capacity": self.logit_cache_capacity,
-        }
+        return {"max_pending": self.router_max_pending, "max_wait_ms": self.max_wait_ms}
 
     def replace(self, **changes) -> "ServeConfig":
         return replace(self, **changes)

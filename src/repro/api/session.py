@@ -241,12 +241,10 @@ class Session:
         Starting the returned :class:`repro.serving.HttpServer` starts the
         underlying router too, and stopping it stops both — one
         ``with session.serve_http(...) as server:`` block owns the whole
-        stack.  ``http`` overrides the bind address and limits; it defaults
-        to ``config.http`` and then to :class:`HttpConfig`'s defaults.
+        stack.  ``http`` sets the bind address and limits; it defaults to
+        :class:`HttpConfig`'s defaults.
         """
-        config = config if config is not None else self.serve_config
-        if http is None:
-            http = config.http if config.http is not None else HttpConfig()
+        http = http if http is not None else HttpConfig()
         router = self.serve(*sources, config=config, cache_dir=cache_dir)
         return _SessionHttpServer(router, **http.server_kwargs())
 

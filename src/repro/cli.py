@@ -20,12 +20,9 @@ programs and the serving front door all drive the same
 ``python -m repro.cli serve <artifact-dir> [<artifact-dir> ...]``
     Serve one or many artifacts over HTTP (``/predict``, ``/stats``,
     ``/metrics``, ``/traces``) until interrupted; 429 load shedding at the
-    back-pressure limit.
-
-``python -m repro.cli serve-bench <artifact-dir> [<artifact-dir> ...]``
-    Drive one or many artifacts through the shard-router front door under
-    concurrent load; ``--cache-dir`` persists the operator and logit caches
-    across processes (warm before, spill after).
+    back-pressure limit.  ``--cache-dir`` carries the operator and logit
+    caches across processes (warmed before the artifacts load, spilled
+    after the drain).
 
 ``python -m repro.cli experiment <spec.toml|spec.json>``
     Run a declarative :class:`repro.api.SweepSpec` (models × datasets ×
@@ -55,9 +52,8 @@ import json
 import signal
 import sys
 import threading
-import time
 import zipfile
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -166,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8100,
         help="bind port (0 picks a free one and prints it)",
     )
-    serve_parser.add_argument("--batch-size", type=int, default=64, help="server micro-batch cap")
     serve_parser.add_argument("--max-wait-ms", type=float, default=2.0, help="coalescing window")
     serve_parser.add_argument(
         "--max-pending", type=int, default=256,
@@ -174,7 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--cache-dir", default=None,
-        help="operator/logit-cache spill directory warmed before the artifacts load",
+        help="operator/logit-cache spill directory: warmed before the "
+             "artifacts load, spilled into after the drain",
     )
     serve_parser.add_argument(
         "--for-seconds", type=float, default=None,
@@ -205,36 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--ssh-python", default="python3",
         help="python executable to run on --worker-host machines",
-    )
-
-    bench_parser = subparsers.add_parser(
-        "serve-bench",
-        help="benchmark one or many artifacts through the shard-router front door",
-    )
-    bench_parser.add_argument(
-        "artifacts", nargs="+", metavar="artifact",
-        help="artifact director(ies) written by 'export'; several become router shards",
-    )
-    bench_parser.add_argument("--requests", type=int, default=256, help="total requests to issue")
-    bench_parser.add_argument("--clients", type=int, default=4, help="concurrent client threads")
-    bench_parser.add_argument("--subset-size", type=int, default=32, help="nodes per request")
-    bench_parser.add_argument("--batch-size", type=int, default=64, help="server micro-batch cap")
-    bench_parser.add_argument("--max-wait-ms", type=float, default=2.0, help="coalescing window")
-    bench_parser.add_argument(
-        "--max-pending", type=int, default=256,
-        help="front-door back-pressure: max in-flight requests across shards",
-    )
-    bench_parser.add_argument(
-        "--cache-dir", default=None,
-        help="operator/logit-cache spill directory: warmed before the "
-             "artifacts load, re-spilled after the benchmark (cold starts "
-             "become warm across processes)",
-    )
-    bench_parser.add_argument(
-        "--mutate", type=int, default=0, metavar="N",
-        help="exercise the live-update path: a writer thread applies N "
-             "random single-edge GraphDeltas through router.update_shard "
-             "(round-robin across shards) while the clients run",
     )
 
     experiment_parser = subparsers.add_parser(
@@ -493,9 +459,7 @@ def _serve_cluster(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache_dir=args.cache_dir,
             serve=ServeConfig(
-                max_batch_size=args.batch_size,
-                max_wait_ms=args.max_wait_ms,
-                router_max_pending=args.max_pending,
+                max_wait_ms=args.max_wait_ms, router_max_pending=args.max_pending
             ),
             host=args.host,
             port=args.port,
@@ -558,11 +522,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         print(f"error: {flag_error}", file=sys.stderr)
         return EXIT_ARTIFACT_ERROR
     session = Session(
-        serve=ServeConfig(
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            router_max_pending=args.max_pending,
-        )
+        serve=ServeConfig(max_wait_ms=args.max_wait_ms, router_max_pending=args.max_pending)
     )
     try:
         server = session.serve_http(
@@ -572,6 +532,12 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
     except _ARTIFACT_ERRORS as error:
         return _artifact_error(" | ".join(args.artifacts), error)
+    if args.cache_dir:
+        reused = server.router.operator_cache.stats().hits
+        print(
+            f"cache dir {args.cache_dir}: {reused} preprocess "
+            f"entr{'y' if reused == 1 else 'ies'} reused at load"
+        )
     with server:
         shards = server.router.shards()
         print(f"serving {len(shards)} shard(s) at {server.url}")
@@ -586,143 +552,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"served {stats.requests} request(s) over {stats.connections} "
         f"connection(s), shed {stats.shed}"
     )
-    return 0
-
-
-def _command_serve_bench(args: argparse.Namespace) -> int:
-    if args.mutate:
-        # Sustained delta churn allocates and frees multi-MB step arrays
-        # per swap; glibc's default trim threshold makes every one a fresh
-        # page-fault bill (see repro.serving.allocator).
-        from repro.serving import tune_allocator_for_churn
-
-        tune_allocator_for_churn()
-    session = Session(
-        serve=ServeConfig(
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            router_max_pending=args.max_pending,
-        )
-    )
-    try:
-        router = session.serve(*args.artifacts, cache_dir=args.cache_dir)
-    except _ARTIFACT_ERRORS as error:
-        # Router construction loads artifacts one by one; report whichever
-        # path failed (the message from the loader names the missing file).
-        return _artifact_error(" | ".join(args.artifacts), error)
     if args.cache_dir:
-        warm_stats = router.operator_cache.stats()
-        print(
-            f"cache dir {args.cache_dir}: {warm_stats.hits} preprocess "
-            f"entr{'y' if warm_stats.hits == 1 else 'ies'} reused at load"
-        )
-
-    shards = router.shards()
-    per_client = max(1, args.requests // args.clients)
-    rng = np.random.default_rng(0)
-
-    def client(worker_seed: int) -> None:
-        local_rng = np.random.default_rng(worker_seed)
-        tickets = []
-        for index in range(per_client):
-            shard = shards[index % len(shards)]
-            graph = shard.engine.graph
-            size = min(args.subset_size, graph.num_nodes)
-            ids = local_rng.choice(graph.num_nodes, size=size, replace=False)
-            tickets.append(router.submit(node_ids=ids, shard=shard.name))
-        for ticket in tickets:
-            ticket.result(timeout=120)
-
-    clients_done = threading.Event()
-    swaps: list = []
-    writer_errors: list = []
-
-    def writer() -> None:
-        # Live-update traffic: random single-edge deltas through the
-        # atomic re-route path, round-robin across shards, until the
-        # budget is spent or the clients finish.
-        from repro.graph import GraphDelta
-
-        writer_rng = np.random.default_rng(1)
-        for index in range(args.mutate):
-            if clients_done.is_set():
-                break
-            shard = shards[index % len(shards)]
-            n = shard.engine.graph.num_nodes
-            u, v = int(writer_rng.integers(n)), int(writer_rng.integers(n))
-            delta = (
-                GraphDelta(add_edges=[[u, v]])
-                if index % 2 == 0
-                else GraphDelta(remove_edges=[[u, v]])
-            )
-            try:
-                swaps.append(router.update_shard(shard.name, delta))
-            except Exception as error:  # pragma: no cover - surfaced below
-                writer_errors.append(error)
-                break
-            time.sleep(0.002)
-
-    with router:
-        start = time.perf_counter()
-        threads = [
-            threading.Thread(target=client, args=(int(rng.integers(1 << 31)),))
-            for _ in range(args.clients)
-        ]
-        writer_thread = threading.Thread(target=writer) if args.mutate else None
-        for thread in threads:
-            thread.start()
-        if writer_thread is not None:
-            writer_thread.start()
-        for thread in threads:
-            thread.join()
-        clients_done.set()
-        if writer_thread is not None:
-            writer_thread.join()
-        elapsed = time.perf_counter() - start
-        stats = router.stats()
-
-    total_requests = sum(s.requests for s in stats.shards.values())
-    total_batches = sum(s.batches for s in stats.shards.values())
-    total_forwards = sum(s.forwards for s in stats.shards.values())
-    print(f"front door: {len(shards)} shard(s), {stats.max_pending} max in-flight")
-    for shard in shards:
-        shard_stats = stats.shards[shard.name]
-        print(
-            f"  {shard.name}: {shard.model_name} on {shard.engine.graph.name} "
-            f"({shard.engine.graph.num_nodes} nodes)  requests={shard_stats.requests}  "
-            f"mean latency {shard_stats.mean_latency_ms:.2f} ms"
-        )
-    print(
-        f"served {total_requests} requests in {elapsed:.3f}s "
-        f"({total_requests / elapsed:.1f} req/s)"
-    )
-    if args.mutate:
-        in_place = sum(1 for swap in swaps if swap.in_place)
-        print(
-            f"live updates: {len(swaps)} deltas applied "
-            f"({in_place} in-place, {len(swaps) - in_place} re-preprocessed)"
-        )
-        if writer_errors:
-            print(f"error: live-update writer failed: {writer_errors[0]}", file=sys.stderr)
-            return 1
-    print(
-        f"batches: {total_batches}  forwards: {total_forwards}  "
-        f"mean batch size: {total_requests / total_batches if total_batches else 0.0:.1f}"
-    )
-    # All shards share one operator cache and one logit cache; report each once.
-    any_stats = next(iter(stats.shards.values()))
-    cache_stats = any_stats.cache.as_dict()
-    print(
-        f"operator cache: {cache_stats['hits']} hits / {cache_stats['misses']} misses "
-        f"(hit rate {cache_stats['hit_rate']:.2%})"
-    )
-    logit_stats = any_stats.logit_cache.as_dict()
-    print(
-        f"logit cache: {logit_stats['hits']} hits / {logit_stats['misses']} misses "
-        f"(weights-versioned keys)"
-    )
-    if args.cache_dir:
-        spilled = router.spill(args.cache_dir)
+        spilled = server.router.spill(args.cache_dir)
         print(
             f"spilled {spilled['operators']} preprocess "
             f"entr{'y' if spilled['operators'] == 1 else 'ies'} and "
@@ -785,11 +616,10 @@ def _run_experiment_distributed(args: argparse.Namespace, spec: SweepSpec) -> in
     """
     from .cluster import (
         CONNECT_PLACEHOLDER,
-        ShardReport,
         WorkerError,
         WorkerPool,
-        merge_shard_reports,
         read_secret,
+        run_sweep_on_pool,
         ssh_worker_command,
     )
 
@@ -837,48 +667,17 @@ def _run_experiment_distributed(args: argparse.Namespace, spec: SweepSpec) -> in
         print(f"error: cluster workers failed to start: {reason}", file=sys.stderr)
         pool.stop()
         return EXIT_ARTIFACT_ERROR
-    spec_payload = spec.as_dict()
-    results: List[Optional[Dict[str, object]]] = [None] * shard_count
-    errors: List[Tuple[int, Exception]] = []
-
-    def _run_shard(index: int) -> None:
-        try:
-            results[index] = pool.call(
-                "run_shard",
-                {
-                    "spec": spec_payload,
-                    "shard_index": index,
-                    "shard_count": shard_count,
-                },
-                timeout=3600.0,
-            )
-        except Exception as error:  # noqa: BLE001 — reported per shard below
-            errors.append((index, error))
-
     try:
-        threads = [
-            threading.Thread(target=_run_shard, args=(index,), daemon=True)
-            for index in range(shard_count)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        pool.stop()
-    if errors:
-        for index, error in sorted(errors, key=lambda item: item[0]):
-            reason = str(error) or type(error).__name__
-            print(f"error: shard {index}/{shard_count} failed: {reason}", file=sys.stderr)
+        report = run_sweep_on_pool(pool, spec, shard_count, canonical=args.canonical)
+    except RuntimeError as error:
+        for line in str(error).splitlines():
+            print(f"error: {line}", file=sys.stderr)
         return EXIT_ARTIFACT_ERROR
-    try:
-        report = merge_shard_reports(
-            [ShardReport.from_dict(payload) for payload in results],
-            canonical=args.canonical,
-        )
     except (ValueError, KeyError, TypeError) as error:
         print(f"error: cannot merge shard reports: {error}", file=sys.stderr)
         return EXIT_ARTIFACT_ERROR
+    finally:
+        pool.stop()
     if args.json:
         print(report.to_json(indent=2))
     else:
@@ -967,7 +766,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "export": _command_export,
         "predict": _command_predict,
         "serve": _command_serve,
-        "serve-bench": _command_serve_bench,
         "experiment": _command_experiment,
         "merge-reports": _command_merge_reports,
         "datasets": _command_datasets,

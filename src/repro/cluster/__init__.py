@@ -21,7 +21,8 @@ Four capabilities:
 * **distributed sweeps** — ``repro experiment --shard i/N`` runs the
   deterministic shard ``i`` of a :class:`repro.api.SweepSpec` and ``repro
   merge-reports`` reassembles the shards into a report byte-identical to
-  the serial run (:mod:`repro.cluster.sweeps`);
+  the serial run; ``repro experiment --listen`` runs every shard on a
+  worker pool (:func:`run_sweep_on_pool`, :mod:`repro.cluster.sweeps`);
 * **multi-process serving** — ``repro serve --workers N`` puts a parent
   HTTP front door over N router workers (local, remote, or a mix), with
   worker- and host-labelled aggregated metrics and 503 shedding while
@@ -62,6 +63,7 @@ from .sweeps import (
     ShardReport,
     merge_shard_files,
     merge_shard_reports,
+    run_sweep_on_pool,
     run_sweep_shard,
     spec_hash,
 )
@@ -95,6 +97,7 @@ __all__ = [
     "ShardReport",
     "spec_hash",
     "run_sweep_shard",
+    "run_sweep_on_pool",
     "merge_shard_reports",
     "merge_shard_files",
 ]

@@ -27,7 +27,7 @@ import asyncio
 import functools
 import time
 from dataclasses import asdict
-from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..obs.histogram import HistogramStats
 from ..obs.prometheus import render_prometheus
@@ -50,6 +50,9 @@ from .pool import (
     WorkerPool,
 )
 
+if TYPE_CHECKING:
+    from ..api.config import ServeConfig
+
 #: worker-side exception class names mapped onto front-door status codes;
 #: anything else is a plain in-worker failure (500).  The 400s are the
 #: request errors the single-process door answers 400 too.
@@ -60,19 +63,6 @@ _REMOTE_STATUS = {
     "ValueError": 400,
     "TypeError": 400,
 }
-
-
-def _serve_payload(serve: Optional[object]) -> Dict[str, Any]:
-    """A ``ServeConfig`` (or mapping) as JSON-safe ``load``-op kwargs."""
-    if serve is None:
-        return {}
-    if isinstance(serve, Mapping):
-        payload = dict(serve)
-    else:
-        payload = asdict(serve)  # ServeConfig is a dataclass
-    # Workers never run their own HTTP listener; the parent owns the port.
-    payload.pop("http", None)
-    return payload
 
 
 class ClusterHttpServer(BaseHttpServer):
@@ -283,7 +273,7 @@ def serve_cluster(
     *,
     workers: int = 2,
     cache_dir: Optional[str] = None,
-    serve: Optional[object] = None,
+    serve: Optional[ServeConfig] = None,
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -318,7 +308,7 @@ def serve_cluster(
     load_args: Dict[str, Any] = {
         "artifacts": [str(artifact) for artifact in artifacts],
         "cache_dir": str(cache_dir) if cache_dir is not None else None,
-        "serve": _serve_payload(serve),
+        "serve": asdict(serve) if serve is not None else {},
     }
     if secret is None and secret_file is not None:
         secret = read_secret(secret_file)

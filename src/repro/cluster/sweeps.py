@@ -19,19 +19,27 @@ spec, a content hash of the spec, and the claimed shard coordinates and
 cell indices.  :func:`merge_shard_reports` rejects loudly on version or
 spec-hash mismatch, overlapping shards, missing shards, and cell indices
 that disagree with the deterministic partition.
+
+:func:`run_sweep_on_pool` is the fan-out behind ``repro experiment
+--listen``: every shard runs side by side on a :class:`WorkerPool`
+worker, and the shard reports merge through the same validated path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..api.config import SweepSpec
 from ..api.experiment import run_sweep, shard_cells
 from ..api.report import REPORT_FORMAT_VERSION, ExperimentReport, SweepReport
+
+if TYPE_CHECKING:
+    from .pool import WorkerPool
 
 PathLike = Union[str, Path]
 
@@ -249,4 +257,54 @@ def merge_shard_files(
     """Load shard report files and merge them (the CLI entry point)."""
     return merge_shard_reports(
         [ShardReport.load(path) for path in paths], canonical=canonical
+    )
+
+
+def run_sweep_on_pool(
+    pool: "WorkerPool",
+    spec: SweepSpec,
+    shard_count: int,
+    *,
+    canonical: bool = True,
+) -> SweepReport:
+    """Run the ``shard_count`` shards of ``spec`` side by side on ``pool``.
+
+    One thread per shard sends the pool's ``run_shard`` op, so the shards
+    run concurrently on the workers it dispatches them to (a shard whose
+    worker dies is retried on another).  The reports merge through
+    :func:`merge_shard_reports`, so in canonical form the result is
+    byte-identical to the serial run.  Raises :class:`RuntimeError` with
+    one ``shard i/N failed: ...`` line per failed shard.
+    """
+    payload = spec.as_dict()
+    results: List[Optional[Dict[str, object]]] = [None] * shard_count
+    errors: Dict[int, BaseException] = {}
+
+    def run_shard(index: int) -> None:
+        try:
+            results[index] = pool.call(
+                "run_shard",
+                {"spec": payload, "shard_index": index, "shard_count": shard_count},
+                timeout=3600.0,
+            )
+        except Exception as error:  # noqa: BLE001 — reported per shard below
+            errors[index] = error
+
+    threads = [
+        threading.Thread(target=run_shard, args=(index,), daemon=True)
+        for index in range(shard_count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise RuntimeError(
+            "\n".join(
+                f"shard {index}/{shard_count} failed: {str(error) or type(error).__name__}"
+                for index, error in sorted(errors.items())
+            )
+        )
+    return merge_shard_reports(
+        [ShardReport.from_dict(result) for result in results], canonical=canonical
     )

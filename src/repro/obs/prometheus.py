@@ -25,8 +25,8 @@ adds to its stats dataclass shows up in ``/metrics`` automatically:
 
 :func:`parse_prometheus` is the matching strict parser: it validates line
 grammar, label escaping and histogram invariants (cumulative buckets,
-terminal ``+Inf`` equal to ``_count``), and is what the test-suite and
-``bench_http`` use to assert the exposition is well-formed.
+terminal ``+Inf`` equal to ``_count``), and is what the test-suite uses
+to assert the exposition is well-formed.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ thresholds keeps those blocks on the heap free list and cuts the
 steady-state swap cost to plain memcpy speed.
 
 This is process-global, so it is never applied implicitly; call
-:func:`tune_allocator_for_churn` from the serving entrypoint (the delta
-benchmark and ``repro serve-bench --mutate`` do).  On non-glibc
-platforms it is a no-op returning ``False``.
+:func:`tune_allocator_for_churn` from the serving entrypoint (repobench's
+churn workload does).  On non-glibc platforms it is a no-op returning
+``False``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ their own forward.  :class:`InferenceServer` therefore runs a single worker
 thread that
 
 1. pulls the first pending request off a thread-safe queue,
-2. coalesces everything else that arrives within ``max_wait_ms`` (up to
-   ``max_batch_size`` requests) into one micro-batch,
+2. coalesces everything else that arrives within ``max_wait_ms`` into one
+   micro-batch (a graph swap, a retire marker or ``stop()`` closes it
+   early; behind a :class:`repro.serving.ShardRouter` the router's slot
+   pool bounds it),
 3. groups the batch by graph fingerprint, runs **one** forward per distinct
    graph (preprocess served from the shared :class:`OperatorCache`),
 4. fans the logit rows back out to each request's ticket.
@@ -48,6 +50,9 @@ from .cache import CacheStats, LRUCache, OperatorCache
 
 #: queue sentinel telling the worker thread to exit.
 _STOP = object()
+
+#: capacity of an engine's logit LRU, and of the one a router shares.
+DEFAULT_LOGIT_CAPACITY = 32
 
 
 class ServerOverloaded(RuntimeError):
@@ -295,14 +300,9 @@ class InferenceServer(StatsSource):
         graph: DirectedGraph,
         *,
         operator_cache: Optional[OperatorCache] = None,
-        max_batch_size: int = 64,
         max_wait_ms: float = 2.0,
-        cache_logits: bool = True,
-        logit_cache_capacity: int = 8,
         logit_cache: Optional[LRUCache] = None,
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.model = model.eval()
@@ -314,9 +314,8 @@ class InferenceServer(StatsSource):
         # are mutated.  The cache may be shared between servers (the
         # ShardRouter does) — the weights-version key field keeps entries of
         # side-by-side hot-swapped artifacts apart.
-        self.cache_logits = cache_logits
         self._logit_cache = (
-            logit_cache if logit_cache is not None else LRUCache(logit_cache_capacity)
+            logit_cache if logit_cache is not None else LRUCache(DEFAULT_LOGIT_CAPACITY)
         )
         # The (signature, weights-version) cache-key prefix is computed
         # lazily by the worker *after* the first preprocess, so lazily-built
@@ -324,7 +323,6 @@ class InferenceServer(StatsSource):
         # into the version.  It only resets through clear_logit_cache(), so
         # the hot batch loop never rehashes the weights.
         self._logit_key_prefix: Optional[Tuple[str, str]] = None
-        self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_ms / 1000.0
         # Unbounded, so submit() never blocks under the lifecycle lock and
         # the stop sentinel can always be enqueued.
@@ -642,7 +640,7 @@ class InferenceServer(StatsSource):
                 # old state and tickets behind it the new one (FIFO order).
                 batch = [item]
                 deadline = time.perf_counter() + self.max_wait_seconds
-                while len(batch) < self.max_batch_size:
+                while True:
                     remaining = deadline - time.perf_counter()
                     if remaining <= 0:
                         break
@@ -678,19 +676,18 @@ class InferenceServer(StatsSource):
                 # (e.g. SGC's num_steps) change the forward output without
                 # changing any weight, same as preprocess_key does for the
                 # operator cache.
-                logits = cache = None
-                if self.cache_logits:
-                    if self._logit_key_prefix is None:
-                        # All lazily-built modules exist after preprocess, so
-                        # the state dict now covers every weight.  Known
-                        # before the first lookup, the key can hit logits
-                        # warmed from a spill directory.
-                        cache = self.cache.preprocess(self.model, graph)
-                        self._logit_key_prefix = (
-                            self.model.signature(),
-                            state_fingerprint(self.model.state_dict()),
-                        )
-                    logits = self._logit_cache.get((*self._logit_key_prefix, key))
+                cache = None
+                if self._logit_key_prefix is None:
+                    # All lazily-built modules exist after preprocess, so
+                    # the state dict now covers every weight.  Known
+                    # before the first lookup, the key can hit logits
+                    # warmed from a spill directory.
+                    cache = self.cache.preprocess(self.model, graph)
+                    self._logit_key_prefix = (
+                        self.model.signature(),
+                        state_fingerprint(self.model.state_dict()),
+                    )
+                logits = self._logit_cache.get((*self._logit_key_prefix, key))
                 if logits is None:
                     if cache is None:
                         cache = self.cache.preprocess(self.model, graph)
@@ -698,12 +695,11 @@ class InferenceServer(StatsSource):
                     logits = self.model.predict_logits(graph, cache)
                     path = "eager"
                     forwards += 1
-                    if self.cache_logits:
-                        # Full-graph tickets alias this array; freeze it so a
-                        # client mutating ticket.logits in place cannot
-                        # corrupt the cached copy served to later requests.
-                        logits.setflags(write=False)
-                        self._logit_cache.put((*self._logit_key_prefix, key), logits)
+                    # Full-graph tickets alias this array; freeze it so a
+                    # client mutating ticket.logits in place cannot
+                    # corrupt the cached copy served to later requests.
+                    logits.setflags(write=False)
+                    self._logit_cache.put((*self._logit_key_prefix, key), logits)
                     forward_done = time.perf_counter()
                 else:
                     # Memoised hit: the whole compute stage was a dict read.

@@ -47,6 +47,7 @@ from ..obs.stats import Stats, StatsSource
 from .artifacts import ModelArtifact, restore_model
 from .cache import LRUCache, OperatorCache
 from .engine import (
+    DEFAULT_LOGIT_CAPACITY,
     GraphSwapTicket,
     InferenceServer,
     InferenceTicket,
@@ -58,9 +59,6 @@ PathLike = Union[str, Path]
 
 #: default cap on in-flight requests across every shard of one router.
 DEFAULT_MAX_PENDING = 256
-
-#: default capacity of the logit LRU shared by all shards.
-DEFAULT_LOGIT_CAPACITY = 32
 
 
 class UnknownShard(KeyError):
@@ -129,22 +127,15 @@ class ShardRouter(StatsSource):
         self,
         *,
         max_pending: int = DEFAULT_MAX_PENDING,
-        max_batch_size: int = 64,
         max_wait_ms: float = 2.0,
-        cache_logits: bool = True,
-        logit_cache_capacity: int = DEFAULT_LOGIT_CAPACITY,
         operator_cache: Optional[OperatorCache] = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.max_pending = max_pending
-        self._engine_kwargs = {
-            "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
-            "cache_logits": cache_logits,
-        }
+        self.max_wait_ms = max_wait_ms
         self._operator_cache = operator_cache if operator_cache is not None else OperatorCache()
-        self._logit_cache = LRUCache(logit_cache_capacity)
+        self._logit_cache = LRUCache(DEFAULT_LOGIT_CAPACITY)
         self._shards: Dict[str, ShardInfo] = {}
         self._by_fingerprint: Dict[str, List[str]] = {}
         self._slots = threading.BoundedSemaphore(max_pending)
@@ -175,8 +166,8 @@ class ShardRouter(StatsSource):
             model,
             graph,
             operator_cache=self._operator_cache,
+            max_wait_ms=self.max_wait_ms,
             logit_cache=self._logit_cache,
-            **self._engine_kwargs,
         )
         with self._lock:
             if name is None:

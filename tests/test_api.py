@@ -27,7 +27,7 @@ class TestConfigs:
         with pytest.raises(dataclasses.FrozenInstanceError):
             AmudConfig().threshold = 0.9
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ServeConfig().max_batch_size = 2
+            ServeConfig().max_wait_ms = 1.0
 
     def test_replace_returns_new_config(self):
         base = TrainConfig()
@@ -43,8 +43,8 @@ class TestConfigs:
             AmudConfig(directed_model="NotAModel")
         with pytest.raises(ValueError, match="NaN"):
             AmudConfig(threshold=float("nan"))
-        with pytest.raises(ValueError, match="max_batch_size"):
-            ServeConfig(max_batch_size=0)
+        with pytest.raises(ValueError, match="max_wait_ms"):
+            ServeConfig(max_wait_ms=-1.0)
         with pytest.raises(ValueError, match="router_max_pending"):
             ServeConfig(router_max_pending=0)
 
@@ -53,7 +53,7 @@ class TestConfigs:
         assert TrainConfig.from_trainer(config.build_trainer()) == config
 
     def test_serve_config_kwargs_cover_engine_and_router(self):
-        config = ServeConfig(max_batch_size=8, max_wait_ms=1.0, router_max_pending=4)
+        config = ServeConfig(max_wait_ms=1.0, router_max_pending=4)
         assert config.engine_kwargs()["max_wait_ms"] == 1.0
         assert config.router_kwargs()["max_pending"] == 4
         assert ShardRouter(**config.router_kwargs()).max_pending == 4
@@ -202,10 +202,6 @@ class TestCliArtifactErrors:
         model.save(art)
         (art / "weights.npz").write_bytes(b"this is not an npz payload")
         assert cli_main(["predict", str(art)]) == 2
-        assert "cannot load serving artifact" in capsys.readouterr().err
-
-    def test_serve_bench_missing_artifact_exits_2(self, tmp_path, capsys):
-        assert cli_main(["serve-bench", str(tmp_path / "nope")]) == 2
         assert "cannot load serving artifact" in capsys.readouterr().err
 
     def test_predict_wrong_format_version_exits_2(self, tmp_path, capsys):

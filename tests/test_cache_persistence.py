@@ -418,26 +418,60 @@ class TestWarmRestore:
             np.testing.assert_array_equal(served[name], expected[name])
 
 
-class TestServeBenchCacheDir:
-    def test_cli_spills_then_warms(self, trained_handles, tmp_path, capsys):
+class TestServeCacheDir:
+    def test_cli_spills_then_warms(self, trained_handles, tmp_path, capsys, monkeypatch):
+        import http.client
+        import re
+
+        from repro import cli
+
         artifact_dir = tmp_path / "artifact"
         trained_handles[0].save(artifact_dir)
         cache_dir = tmp_path / "opcache"
+        shown = []
+
+        def one_request_then_drain(for_seconds):
+            # Runs while `repro serve` is up: answer one /predict, read
+            # /stats, then return as if --for-seconds had elapsed.
+            out = capsys.readouterr().out
+            host, port = re.search(r"http://([\d.]+):(\d+)", out).groups()
+            replies = []
+            for method, path, body in (
+                ("POST", "/predict", json.dumps({"node_ids": [0, 1, 2]})),
+                ("GET", "/stats", None),
+            ):
+                connection = http.client.HTTPConnection(host, int(port), timeout=30)
+                try:
+                    connection.request(method, path, body=body)
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    replies.append(json.loads(response.read()))
+                finally:
+                    connection.close()
+            predicted, stats = replies
+            shown.append((out, predicted["predictions"], stats["shards"]["texas"]))
+            return None
+
+        monkeypatch.setattr(cli, "_wait_for_shutdown", one_request_then_drain)
         args = [
-            "serve-bench", str(artifact_dir), "--requests", "8", "--clients", "2",
+            "serve", str(artifact_dir), "--port", "0", "--for-seconds", "1",
             "--cache-dir", str(cache_dir),
         ]
         assert cli_main(args) == 0
-        first = capsys.readouterr().out
-        assert "spilled 1 preprocess entry" in first
+        first = shown[-1][0] + capsys.readouterr().out
+        assert "0 preprocess entries reused at load" in first
+        assert "spilled 1 preprocess entry and 1 logit entry" in first
+        assert shown[-1][2]["forwards"] == 1
         assert cache_dir.is_dir() and spilled_entries(cache_dir)
 
         assert cli_main(args) == 0
-        second = capsys.readouterr().out
+        second = shown[-1][0] + capsys.readouterr().out
         assert "1 preprocess entry reused at load" in second
-        # The warmed logits answer every request: no preprocess, no forward.
-        assert "/ 0 misses" in second.split("operator cache:")[1].splitlines()[0]
-        assert "forwards: 0" in second
+        # The warmed logits answer the request: no preprocess, no forward.
+        assert shown[-1][2]["cache"]["misses"] == 0
+        assert shown[-1][2]["forwards"] == 0
+        assert shown[-1][1] == shown[0][1]
+        assert "spilled 0 preprocess entries and 0 logit entries" in second
 
 
 _RACE_SCRIPT = """

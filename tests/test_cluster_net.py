@@ -48,6 +48,18 @@ def _secret_file(tmp_path, secret: str = "s3cret") -> str:
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def artifact(tmp_path_factory):
+    """A small served MLP and its in-process predictions."""
+    from repro.api import Session, TrainConfig
+
+    handle = (
+        Session(train=TrainConfig(epochs=1, patience=1)).load("texas").fit("MLP", hidden=8)
+    )
+    path = handle.save(tmp_path_factory.mktemp("tcp-artifact") / "artifact")
+    return str(path), handle.predict()
+
+
 def _wait_healthy(pool: WorkerPool, count: int, timeout: float = 30.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -336,21 +348,47 @@ class TestWorkerListener:
 class TestTcpWorkerPool:
     """Connect-back workers inside the ordinary supervision machinery."""
 
-    def test_spawned_tcp_fleet_serves_and_respawns(self, tmp_path):
+    def test_spawned_tcp_fleet_serves_and_respawns(self, artifact, tmp_path):
+        path, expected = artifact
         secret_file = _secret_file(tmp_path)
         command = worker_connect_command(CONNECT_PLACEHOLDER, secret_file)
+        answers, dropped = [], []
+
+        def client() -> None:
+            for _ in range(15):
+                try:
+                    answers.append(
+                        pool.call("predict", {"node_ids": [0, 1, 2]}, timeout=30.0)
+                    )
+                except Exception as error:  # noqa: BLE001 — asserted empty below
+                    dropped.append(error)
+
         with WorkerPool(
             2,
             listen="127.0.0.1:0",
             secret="s3cret",
             spawn_commands=[command, command],
+            init_ops=[("load", {"artifacts": [path], "serve": {}})],
         ) as pool:
             stats = pool.stats()
             assert {entry["transport"] for entry in stats.workers.values()} == {"tcp"}
             first_pid = stats.workers["w0"]["pid"]
             assert isinstance(pool.call("ping", {}, timeout=30.0)["pid"], int)
-            # Sever w0's connection: the slot must respawn via its command.
+            # Sever w0's connection under four concurrent clients: predicts
+            # in flight on it are retried on w1, and the slot respawns via
+            # its command.
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for thread in clients:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while len(answers) < 8 and time.monotonic() < deadline:
+                time.sleep(0.005)
             assert pool.kill_worker("w0")
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not dropped, dropped
+            assert len(answers) == 60
+            assert all(answer["predictions"] == expected[:3].tolist() for answer in answers)
             _wait_healthy(pool, 2)
             stats = pool.stats()
             assert stats.restarts >= 1
@@ -392,16 +430,8 @@ class TestTcpWorkerPool:
         with pytest.raises(ValueError, match="listen"):
             WorkerPool(2, spawn_commands=[["true"], ["true"]])
 
-    def test_remote_worker_uses_its_own_warm_dir(self, tmp_path):
+    def test_remote_worker_uses_its_own_warm_dir(self, artifact, tmp_path):
         """A connect-back worker must ignore the supervisor's cache_dir."""
-        from repro.api import Session, TrainConfig
-
-        artifact = str(
-            Session(train=TrainConfig(epochs=1, patience=1))
-            .load("texas")
-            .fit("MLP", hidden=8)
-            .save(tmp_path / "artifact")
-        )
         supervisor_cache = tmp_path / "supervisor-cache"
         supervisor_cache.mkdir()
         warm_dir = tmp_path / "host-warm"
@@ -410,7 +440,7 @@ class TestTcpWorkerPool:
             CONNECT_PLACEHOLDER, secret_file, warm_dir=str(warm_dir)
         )
         load_args = {
-            "artifacts": [artifact],
+            "artifacts": [artifact[0]],
             "cache_dir": str(supervisor_cache),
             "serve": {},
         }

@@ -8,11 +8,15 @@ import pytest
 
 from repro.api import ExperimentReport, SweepReport, SweepSpec, run_sweep, shard_cells
 from repro.cluster import (
+    CONNECT_PLACEHOLDER,
     ShardReport,
+    WorkerPool,
     merge_shard_files,
     merge_shard_reports,
+    run_sweep_on_pool,
     run_sweep_shard,
     spec_hash,
+    worker_connect_command,
 )
 
 
@@ -59,6 +63,19 @@ class TestShardCells:
 class TestMerge:
     def test_two_shards_merge_bit_identical_to_serial(self, spec, serial, shards):
         merged = merge_shard_reports(shards)
+        assert merged.to_json(indent=2) == serial.to_json(indent=2)
+
+    def test_tcp_pool_sweep_merges_bit_identical_to_serial(self, spec, serial, tmp_path):
+        """The ``experiment --listen`` fan-out over two connect-back workers."""
+        secret_file = tmp_path / "secret"
+        secret_file.write_text("s3cret\n")
+        command = worker_connect_command(CONNECT_PLACEHOLDER, str(secret_file))
+        with WorkerPool(
+            2, listen="127.0.0.1:0", secret="s3cret", spawn_commands=[command, command]
+        ) as pool:
+            merged = run_sweep_on_pool(pool, spec, 2)
+            transports = {entry["transport"] for entry in pool.stats().workers.values()}
+        assert transports == {"tcp"}
         assert merged.to_json(indent=2) == serial.to_json(indent=2)
 
     def test_single_shard_merge_is_the_identity(self, spec, serial):

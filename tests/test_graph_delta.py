@@ -304,6 +304,55 @@ class TestBlockBoundaries:
             assert updated.fingerprint() == graph_fingerprint(updated) != graph.fingerprint()
 
 
+class TestDeltaCost:
+    """A delta re-hashes the blocks it touched and re-propagates its frontier."""
+
+    @pytest.mark.parametrize("kind", ["insert", "feature"])
+    def test_delta_pays_for_its_blocks_and_frontier_only(self, monkeypatch, kind):
+        import repro.graph.delta as delta_module
+
+        # A directed ring: every k-hop neighbourhood is known in closed form.
+        n = BLOCKED_NODES
+        rng = np.random.default_rng(32)
+        nodes = np.arange(n)
+        graph = from_edge_list(
+            np.stack([nodes, (nodes + 1) % n], axis=1),
+            n,
+            rng.normal(size=(n, 6)),
+            rng.integers(0, 4, size=n),
+        )
+        row, far = BLOCK_EDGE_ROWS["middle"], BLOCK_EDGE_ROWS["middle"] + n // 2
+        if kind == "insert":
+            delta, touched = GraphDelta(add_edges=[[row, far]]), [row, far]
+        else:
+            delta, touched = block_delta("feature", row, graph), [row]
+        model = SGC(graph.num_features, graph.num_classes, num_steps=2)
+        cache = model.preprocess(graph)
+        graph.fingerprint_state()  # the baseline hash is paid before the delta
+
+        hashed = []
+        for name in ("csr_block_digest", "dense_block_digest"):
+            digest = getattr(delta_module, name)
+            monkeypatch.setattr(
+                delta_module, name,
+                lambda matrix, block, digest=digest: hashed.append(block) or digest(matrix, block),
+            )
+        mutated = graph.apply_delta(delta)
+        assert hashed == [row // BLOCK_ROWS]
+        assert mutated.fingerprint() == graph_fingerprint(mutated)
+
+        # Rows the last step does not recompute keep the planted sentinel.
+        sentinel = 1e300
+        steps = [*cache["steps"][:-1], np.full_like(cache["steps"][-1], sentinel)]
+        updated = model.update_preprocess(graph, mutated, delta, {**cache, "steps": steps})
+        recomputed = np.flatnonzero((updated["steps"][-1] != sentinel).any(axis=1))
+        # Two steps: the touched rows' 2-hop ring neighbourhood, no more.
+        frontier = sorted({(node + hop) % n for node in touched for hop in range(-2, 3)})
+        assert recomputed.tolist() == frontier
+        fresh = model.preprocess(mutated)["steps"][-1]
+        np.testing.assert_array_equal(updated["steps"][-1][recomputed], fresh[recomputed])
+
+
 class TestNumClassesPin:
     def test_pin_survives_dropping_highest_class(self):
         graph = build_graph(seed=10)

@@ -223,6 +223,50 @@ class TestLoadShedding:
         )
         assert status == 200
 
+    def test_keep_alive_flood_sheds_only_with_429(self):
+        """32 keep-alive clients against 4 slots: every answer is 200 or 429."""
+        graph = load_dataset("texas", seed=0)
+        model = create_model("MLP", graph, seed=0, hidden=8)
+        expected = model.predict_logits(graph).argmax(axis=1)
+        # A 20 ms window keeps each admitted request in its slot while the
+        # rest of the flood arrives, so the pool of 4 must shed.
+        router = ShardRouter(max_pending=4, max_wait_ms=20.0)
+        router.add_shard(model, graph, name="texas")
+        clients, per_client = 32, 4
+        statuses, wrong = [], []
+        start = threading.Barrier(clients)
+
+        def client(seed: int) -> None:
+            ids = [seed % graph.num_nodes, (7 * seed) % graph.num_nodes]
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                start.wait(timeout=30)
+                for _ in range(per_client):
+                    connection.request("POST", "/predict", json.dumps({"node_ids": ids}))
+                    response = connection.getresponse()
+                    payload = json.loads(response.read())
+                    statuses.append(response.status)
+                    if response.status == 200 and payload["predictions"] != expected[ids].tolist():
+                        wrong.append(payload)
+            finally:
+                connection.close()
+
+        with router, HttpServer(router, port=0) as server:
+            threads = [threading.Thread(target=client, args=(seed,)) for seed in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            _, snapshot = get_json(server, "/stats")
+            connections = server.stats().connections
+        ok, shed = statuses.count(200), statuses.count(429)
+        assert ok + shed == len(statuses) == clients * per_client
+        assert ok > 0 and shed > 0 and not wrong
+        assert snapshot["http"]["shed"] == shed
+        assert snapshot["rejected"] == shed
+        # Keep-alive held: one connection per client plus the /stats read.
+        assert connections == clients + 1
+
 
 class TestKeepAlive:
     def test_many_requests_share_one_connection(self, stack):
@@ -288,9 +332,12 @@ class TestSessionAndCli:
     def test_serve_config_carries_http_settings(self, artifact):
         from repro.api import HttpConfig, ServeConfig, Session
 
-        config = ServeConfig(http=HttpConfig(port=0, max_body_bytes=512))
-        server = Session(serve=config).serve_http(artifact)
+        # The session's ServeConfig reaches the router; http= reaches the
+        # front door.
+        session = Session(serve=ServeConfig(router_max_pending=8))
+        server = session.serve_http(artifact, http=HttpConfig(port=0, max_body_bytes=512))
         assert server.max_body_bytes == 512
+        assert server.router.max_pending == 8
         with server:
             assert request(server, "POST", "/predict", b"x" * 513)[0] == 413
 

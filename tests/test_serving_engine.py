@@ -51,10 +51,10 @@ class GatedModel(NodeClassifier):
 
 
 def _held_server(directory):
-    """An uncached server whose worker is parked inside a first forward."""
+    """A server whose worker is parked inside its first forward."""
     model, _, _, graph = restore_model(directory)
     gated = GatedModel(model)
-    server = InferenceServer(gated, graph, cache_logits=False)
+    server = InferenceServer(gated, graph)
     return server, gated, model, graph
 
 
@@ -74,9 +74,10 @@ class TestInferenceServer:
                 ticket.result(timeout=30)
                 np.testing.assert_array_equal(ticket.logits, expected[ids])
         stats = server.stats()
-        # Everything that queued during the first forward shared one batch.
+        # Everything that queued during the first forward shared one batch,
+        # answered from the logits that forward memoised.
         assert stats.requests == 21
-        assert stats.batches == 2 and stats.forwards == 2
+        assert stats.batches == 2 and stats.forwards == 1
 
     def test_swap_closes_the_batch(self, trained_export):
         directory, _, _ = trained_export
@@ -173,18 +174,9 @@ class TestInferenceServer:
         with server:
             for _ in range(5):
                 server.predict(node_ids=[0])
-        assert server.stats().forwards == 1
-
-        uncached, _ = InferenceServer.from_artifact(
-            directory, max_wait_ms=0.0, cache_logits=False
-        )
-        with uncached:
-            for _ in range(3):
-                uncached.predict(node_ids=[0])
-        stats = uncached.stats()
-        assert stats.forwards == stats.batches == 3
-        # Even without logit memoisation the operator cache still serves
-        # every preprocess after the seeded first one.
+        stats = server.stats()
+        assert stats.batches == 5 and stats.forwards == 1
+        # The one forward read the preprocess seeded at restore.
         assert stats.cache.misses == 0
 
     def test_concurrent_clients_under_load(self, trained_export):
@@ -236,19 +228,16 @@ class TestServingCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["predictions"] == []
 
-    def test_export_pipeline_and_serve_bench(self, tmp_path, capsys):
+    def test_export_pipeline_and_serve(self, tmp_path, capsys):
         artifact = tmp_path / "pipe"
         assert main([
             "export", "texas", "--epochs", "5", "--patience", "5", "--out", str(artifact),
         ]) == 0
         assert "AMUD score" in capsys.readouterr().out
 
-        assert main([
-            "serve-bench", str(artifact), "--requests", "32", "--clients", "2",
-            "--subset-size", "8",
-        ]) == 0
+        assert main(["serve", str(artifact), "--port", "0", "--for-seconds", "0.2"]) == 0
         out = capsys.readouterr().out
-        assert "req/s" in out and "operator cache" in out
+        assert "serving 1 shard(s)" in out and "ADPA on texas" in out
 
     def test_predict_json_matches_fresh_process_semantics(self, tmp_path, capsys):
         """export then predict reproduces the in-memory predictions."""
