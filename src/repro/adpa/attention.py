@@ -26,12 +26,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..nn import Dropout, Linear, Module, Parameter, Tensor, concatenate, stack
-from ..nn import functional as F
+from ..nn import Dropout, Linear, Module, Parameter, Tensor, concatenate, weighted_sum
 from ..nn import init
 
 DP_ATTENTION_KINDS = ("original", "gate", "recursive", "jk", "none")
 HOP_ATTENTION_KINDS = ("softmax", "mean", "none")
+
+
+def _softmax_weights(scores: List[Tensor]) -> Tensor:
+    """Per-node softmax over ``(n, 1)`` scores: the ``(n, len(scores))`` weights."""
+    return concatenate(scores, axis=1).leaky_relu(0.2).softmax(axis=1)
 
 
 class DirectedPatternAttention(Module):
@@ -103,31 +107,16 @@ class DirectedPatternAttention(Module):
             return self.fuse(concatenate(projected, axis=1))
         if self.kind == "original":
             scores = [self.score(block.tanh()) for block in projected]  # each (n, 1)
-            return self._softmax_combine(projected, scores)
-        if self.kind == "gate":
+        elif self.kind == "gate":
             scores = [self.gate_transform(block).tanh() @ self.context for block in projected]
-            return self._softmax_combine(projected, scores)
-        # recursive: score each block against the running aggregate.
-        aggregate = projected[0]
-        outputs = [projected[0]]
-        scores = [self.score(concatenate([projected[0], projected[0]], axis=1))]
-        for block in projected[1:]:
-            scores.append(self.score(concatenate([block, aggregate], axis=1)))
-            aggregate = aggregate + block
-            outputs.append(block)
-        return self._softmax_combine(outputs, scores)
-
-    @staticmethod
-    def _softmax_combine(blocks: List[Tensor], scores: List[Tensor]) -> Tensor:
-        """Weight blocks with a per-node softmax over the score list."""
-        stacked_scores = concatenate(scores, axis=1)  # (n, num_blocks)
-        weights = stacked_scores.leaky_relu(0.2).softmax(axis=1)
-        result = None
-        for index, block in enumerate(blocks):
-            weight = weights[:, index : index + 1]
-            term = block * weight
-            result = term if result is None else result + term
-        return result
+        else:
+            # recursive: score each block against the running aggregate.
+            aggregate = projected[0]
+            scores = [self.score(concatenate([projected[0], projected[0]], axis=1))]
+            for block in projected[1:]:
+                scores.append(self.score(concatenate([block, aggregate], axis=1)))
+                aggregate = aggregate + block
+        return weighted_sum(projected, _softmax_weights(scores))
 
 
 class HopAttention(Module):
@@ -166,22 +155,16 @@ class HopAttention(Module):
             for hop in hops[1:]:
                 total = total + hop
             return total * (1.0 / len(hops))
+        return weighted_sum(hops, self._weights(hops))
+
+    def _weights(self, hops: Sequence[Tensor]) -> Tensor:
         summary = self.summary(concatenate(list(hops), axis=1)).tanh()  # E_i, (n, hidden)
         scores = [self.score(concatenate([hop, summary], axis=1)) for hop in hops]
-        stacked_scores = concatenate(scores, axis=1)  # (n, K)
-        weights = stacked_scores.leaky_relu(0.2).softmax(axis=1)
-        result = None
-        for index, hop in enumerate(hops):
-            term = hop * weights[:, index : index + 1]
-            result = term if result is None else result + term
-        return result
+        return _softmax_weights(scores)  # (n, K)
 
     def attention_weights(self, hops: Sequence[Tensor]) -> np.ndarray:
         """Return the per-node hop weights (useful for analysis plots)."""
         if self.kind != "softmax":
             uniform = np.full((hops[0].shape[0], len(hops)), 1.0 / len(hops))
             return uniform
-        summary = self.summary(concatenate(list(hops), axis=1)).tanh()
-        scores = [self.score(concatenate([hop, summary], axis=1)) for hop in hops]
-        stacked_scores = concatenate(scores, axis=1)
-        return stacked_scores.leaky_relu(0.2).softmax(axis=1).numpy()
+        return self._weights(hops).numpy()

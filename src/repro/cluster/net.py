@@ -41,7 +41,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .protocol import (
     PROTOCOL_VERSION,
@@ -205,7 +205,9 @@ class TcpTransport(Transport):
     ``info`` carries the worker's registration (declared id, hostname,
     remote pid) so pool stats can label a remote slot as richly as a local
     one.  ``close`` shuts the socket down both ways, which unblocks a
-    reader parked in ``readline`` on another thread.
+    reader parked in ``readline`` on another thread, and then closes the
+    reader too: while the reader is open, the socket's descriptor stays
+    open after ``sock.close()``.
     """
 
     kind = "tcp"
@@ -304,6 +306,10 @@ class TcpTransport(Transport):
             self.sock.close()
         except OSError:
             pass
+        try:
+            self._reader.close()
+        except OSError:
+            pass
 
     def is_open(self) -> bool:
         return not self._closed
@@ -359,8 +365,29 @@ def server_handshake(
     protocol frames and the worker's registration info — or raises
     :class:`HandshakeError` before a single op crosses the wire.
     """
+    return _handshake(sock, timeout, lambda reader: _verify_worker(sock, reader, secret))
+
+
+def _handshake(sock: socket.socket, timeout: float, exchange: Callable[[Any], Any]):
+    """``(reader, exchange(reader))`` over ``sock``, each read bounded by ``timeout``.
+
+    A failed exchange closes the reader before it raises: the caller never
+    gets the reader, and while it is open the socket's descriptor outlives
+    ``sock.close()``.
+    """
     sock.settimeout(timeout)
     reader = sock.makefile("rb")
+    try:
+        result = exchange(reader)
+    except BaseException:
+        reader.close()
+        raise
+    sock.settimeout(None)
+    return reader, result
+
+
+def _verify_worker(sock: socket.socket, reader, secret: str) -> Dict[str, Any]:
+    """Challenge the worker on ``sock`` and return its registration info."""
     nonce = secrets_module.token_hex(16)
     _send_line(sock, {"v": PROTOCOL_VERSION, "hello": HELLO_POOL, "nonce": nonce})
     line = reader.readline()
@@ -391,13 +418,11 @@ def server_handshake(
             "hmac": _hmac_hex(secret, worker_nonce),
         },
     )
-    sock.settimeout(None)
-    info = {
+    return {
         "worker_id": str(message.get("worker_id", "")),
         "host": str(message.get("host", "")),
         "pid": message.get("pid"),
     }
-    return reader, info
 
 
 def client_handshake(
@@ -416,8 +441,18 @@ def client_handshake(
     :class:`ProtocolError` (a wrong ``PROTOCOL_VERSION``) loudly — a
     worker must never serve ops to an endpoint it could not verify.
     """
-    sock.settimeout(timeout)
-    reader = sock.makefile("rb")
+    reader, _ = _handshake(
+        sock,
+        timeout,
+        lambda reader: _verify_pool(sock, reader, secret, worker_id=worker_id, host=host, pid=pid),
+    )
+    return reader
+
+
+def _verify_pool(
+    sock: socket.socket, reader, secret: str, *, worker_id: str, host: str, pid: int
+) -> None:
+    """Answer the pool's challenge on ``sock`` and check its counter-proof."""
     line = reader.readline()
     if not line:
         raise HandshakeError("pool closed the connection before the handshake")
@@ -456,8 +491,6 @@ def client_handshake(
         raise HandshakeError(
             "pool failed to prove the shared secret; refusing to serve it"
         )
-    sock.settimeout(None)
-    return reader
 
 
 # ---------------------------------------------------------------------- #
@@ -554,6 +587,12 @@ class WorkerListener:
 
     def stop(self) -> None:
         self._stopping = True
+        # Closing the socket alone does not wake a thread blocked in
+        # accept(); shutting it down does.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

@@ -17,7 +17,7 @@ import numpy as np
 from ..graph.digraph import DirectedGraph
 from ..graph.operators import symmetric_normalized_adjacency
 from ..graph.transforms import to_undirected
-from ..nn import MLP, Linear, Tensor, concatenate, sparse_matmul
+from ..nn import MLP, Linear, Tensor, concatenate, sparse_matmul, weighted_sum
 from .base import NodeClassifier
 
 
@@ -59,8 +59,4 @@ class AeroGNN(NodeClassifier):
             hops.append(state)
         scores = [self.hop_score(hop.tanh()) for hop in hops]
         weights = concatenate(scores, axis=1).leaky_relu(0.2).softmax(axis=1)
-        fused = None
-        for index, hop in enumerate(hops):
-            term = hop * weights[:, index : index + 1]
-            fused = term if fused is None else fused + term
-        return self.classifier(fused)
+        return self.classifier(weighted_sum(hops, weights))

@@ -6,7 +6,20 @@ composition of :class:`repro.nn.Module` objects whose parameters are
 """
 
 from . import functional
-from .tensor import Tensor, as_tensor, concatenate, no_grad, row_subset, sparse_matmul, stack, where, zeros, ones
+from .tensor import (
+    Tensor,
+    as_tensor,
+    concatenate,
+    linear,
+    no_grad,
+    ones,
+    row_subset,
+    sparse_matmul,
+    stack,
+    weighted_sum,
+    where,
+    zeros,
+)
 from .layers import (
     BatchNorm,
     Dropout,
@@ -23,10 +36,12 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concatenate",
+    "linear",
     "no_grad",
     "row_subset",
     "stack",
     "sparse_matmul",
+    "weighted_sum",
     "where",
     "zeros",
     "ones",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .tensor import Tensor
+from .tensor import Tensor, linear
 
 
 class Parameter(Tensor):
@@ -176,10 +176,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class Dropout(Module):

@@ -9,7 +9,15 @@ PyTorch semantics at a much smaller scale:
   produced (parent tensors plus a backward closure);
 * calling :meth:`Tensor.backward` on a scalar runs a topological sweep over
   the recorded graph and accumulates gradients into every tensor created
-  with ``requires_grad=True``;
+  with ``requires_grad=True``.  The sweep is iterative, so a tape of any
+  depth works, and it keeps no reference to the tape once it returns: a
+  tape lives exactly as long as the tensors that reference it, so a
+  training loop frees an epoch's tape as soon as it drops its loss and
+  logits, without waiting for the garbage collector;
+* :func:`linear` (``x @ W + b``) and :func:`weighted_sum` (blocks scaled
+  by per-row weight columns and summed, as attention combines them) each
+  record one tape node where their unfused forms record two or three per
+  step, with values and gradients equal bit for bit;
 * constant sparse matrices (``scipy.sparse``) participate through
   :func:`sparse_matmul`, which propagates gradients only to the dense
   operand — exactly what graph propagation needs, because adjacency
@@ -457,18 +465,25 @@ class Tensor:
                 raise RuntimeError("backward() without a gradient requires a scalar tensor")
             grad = np.ones_like(self.data)
 
+        # Depth-first post-order over the nodes that need a gradient, with an
+        # explicit stack: each entry is a node and an iterator over the
+        # parents it has yet to visit.  A recursive walk would overflow on a
+        # deep tape, and a nested function that calls itself forms a cycle
+        # that keeps ``topo_order`` (the whole tape) alive until the garbage
+        # collector runs.
         topo_order: List[Tensor] = []
-        visited = set()
-
-        def visit(node: Tensor) -> None:
-            if id(node) in visited or not node.requires_grad:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            topo_order.append(node)
-
-        visit(self)
+        visited = {id(self)}
+        pending = [(self, iter(self._parents))]
+        while pending:
+            node, parents = pending[-1]
+            for parent in parents:
+                if id(parent) not in visited and parent.requires_grad:
+                    visited.add(id(parent))
+                    pending.append((parent, iter(parent._parents)))
+                    break
+            else:
+                pending.pop()
+                topo_order.append(node)
 
         grads = {id(self): np.asarray(grad, dtype=self.data.dtype)}
         for node in reversed(topo_order):
@@ -505,6 +520,62 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         return tuple(pieces)
 
     return _taped(out_data, tensors, backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight + bias`` as one tape node.
+
+    Runs the numpy operations of :meth:`Tensor.matmul` followed by an add,
+    in the same order, so values and gradients equal the two-node form bit
+    for bit; the tape keeps one output array instead of two.
+    """
+    out_data = x.data @ weight.data
+    parents: Tuple[Tensor, ...] = (x, weight)
+    if bias is not None:
+        out_data += bias.data
+        parents = (x, weight, bias)
+
+    def backward(grad: np.ndarray):
+        grad_x = grad @ weight.data.T if x.requires_grad else None
+        grad_weight = x.data.T @ grad if weight.requires_grad else None
+        if bias is None:
+            return (grad_x, grad_weight)
+        return (grad_x, grad_weight, _unbroadcast(grad, bias.shape))
+
+    return _taped(out_data, parents, backward)
+
+
+def weighted_sum(blocks: Sequence[Tensor], weights: Tensor) -> Tensor:
+    """``Σ_i blocks[i] * weights[:, i:i+1]`` as one tape node.
+
+    ``blocks`` are equal-shaped ``(n, d)`` tensors and ``weights`` is
+    ``(n, len(blocks))``: column ``i`` scales block ``i`` row by row.  The
+    forward and backward run the numpy operations of the slice, multiply
+    and add nodes they replace, in the same order, and the parents are
+    listed in the order a depth-first walk met them there (the first block,
+    then the weights, then the other blocks), so every gradient accumulates
+    in the same order and training is bitwise unchanged.  The tape keeps
+    the sum alone instead of two ``(n, d)`` arrays per block.
+    """
+    columns = [weights.data[:, index : index + 1] for index in range(len(blocks))]
+    out_data = blocks[0].data * columns[0]
+    for block, column in zip(blocks[1:], columns[1:]):
+        out_data += block.data * column
+
+    def backward(grad: np.ndarray):
+        block_grads = [
+            grad * column if block.requires_grad else None
+            for block, column in zip(blocks, columns)
+        ]
+        weights_grad = None
+        if weights.requires_grad:
+            # Added to zeros, as the slice's backward did, so -0.0 reads 0.0.
+            weights_grad = np.zeros_like(weights.data)
+            for index, (block, column) in enumerate(zip(blocks, columns)):
+                weights_grad[:, index : index + 1] += _unbroadcast(grad * block.data, column.shape)
+        return (block_grads[0], weights_grad, *block_grads[1:])
+
+    return _taped(out_data, (blocks[0], weights, *blocks[1:]), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -120,15 +120,19 @@ class Trainer:
             loss = F.cross_entropy(logits, train_labels, train_mask[train_rows])
             loss.backward()
             optimizer.step()
+            loss_value = loss.item()
+            # Free this epoch's tape now, not once the next forward has
+            # built its own: the fit holds one tape at a time.
+            del logits, loss
 
             predictions = model.predict(graph, eval_cache)
             train_acc = accuracy(predictions, eval_labels, train_mask[eval_rows])
             val_acc = accuracy(predictions, eval_labels, val_mask[eval_rows])
-            history["loss"].append(loss.item())
+            history["loss"].append(loss_value)
             history["train_acc"].append(train_acc)
             history["val_acc"].append(val_acc)
             if self.verbose and epoch % 20 == 0:  # pragma: no cover - console output
-                print(f"epoch {epoch:4d}  loss {loss.item():.4f}  val {val_acc:.4f}")
+                print(f"epoch {epoch:4d}  loss {loss_value:.4f}  val {val_acc:.4f}")
 
             if val_acc > best_val:
                 best_val = val_acc

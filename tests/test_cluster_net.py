@@ -318,6 +318,22 @@ class TestWorkerListener:
         finally:
             listener.stop()
 
+    @pytest.mark.parametrize("rejected_first", [False, True])
+    def test_stop_wakes_the_parked_accept_thread(self, rejected_first):
+        listener = WorkerListener("127.0.0.1:0", secret="s3cret")
+        if rejected_first:
+            with socket.create_connection(parse_hostport(listener.address)) as stranger:
+                stranger.sendall(b"GET / HTTP/1.1\r\n\r\n")
+                deadline = time.monotonic() + 10
+                while listener.rejected < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            assert listener.rejected == 1
+        time.sleep(0.2)  # the accept thread is parked in accept() again
+        started = time.monotonic()
+        listener.stop()
+        assert time.monotonic() - started < 1.0
+        assert not listener._thread.is_alive()
+
     def test_garbage_connection_does_not_block_real_workers(self, tmp_path):
         listener = WorkerListener("127.0.0.1:0", secret="s3cret")
         try:

@@ -1,6 +1,9 @@
 """Tests for the autograd tensor engine, including numerical gradient checks."""
 
+import functools
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import scipy.sparse as sp
 
 from repro.nn import Tensor, concatenate, no_grad, row_subset, sparse_matmul, stack, where
 from repro.nn import functional as F
-from repro.nn.tensor import _unbroadcast, current_row_subset
+from repro.nn.tensor import _unbroadcast, current_row_subset, linear, weighted_sum
 
 
 def numerical_gradient(func, value: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -41,6 +44,22 @@ def check_gradient(build_loss, shape, seed=0, atol=1e-5):
 
     numeric = numerical_gradient(scalar, value.copy())
     np.testing.assert_allclose(analytic, numeric, atol=atol)
+
+
+def _assert_same_tape(fused, unfused, values, requires_grad, upstream):
+    """Both builds give equal outputs and leaf gradients, bit for bit."""
+    results = []
+    for build in (fused, unfused):
+        leaves = [Tensor(value.copy(), requires_grad=flag) for value, flag in zip(values, requires_grad)]
+        out = build(*leaves)
+        (out * Tensor(upstream)).sum().backward()
+        results.append((out.data, [leaf.grad for leaf in leaves]))
+    (fused_out, fused_grads), (unfused_out, unfused_grads) = results
+    np.testing.assert_array_equal(fused_out, unfused_out)
+    for fused_grad, unfused_grad in zip(fused_grads, unfused_grads):
+        assert (fused_grad is None) == (unfused_grad is None)
+        if fused_grad is not None:
+            np.testing.assert_array_equal(fused_grad, unfused_grad)
 
 
 class TestBasicOps:
@@ -185,6 +204,32 @@ class TestGradients:
         y.backward()
         np.testing.assert_allclose(x.grad, [7.0])
 
+    def test_backward_through_a_3000_op_chain(self):
+        # Deeper than Python's recursion limit: the sort must not recurse.
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x
+        for _ in range(3000):
+            y = y * 1.0
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.ones(3))
+
+    def test_tape_dies_with_the_loss_without_the_collector(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hidden = (x * 2.0).tanh()
+            tape_array = weakref.ref(hidden.data)
+            loss = (hidden * hidden).sum()
+            del hidden
+            loss.backward()
+            assert tape_array() is not None  # the loss still holds its tape
+            del loss
+            assert tape_array() is None
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestFreeFunctions:
     def test_concatenate_values_and_gradient(self):
@@ -232,6 +277,76 @@ class TestFreeFunctions:
         out.sum().backward()
         np.testing.assert_allclose(a.grad, [1.0, 0.0, 1.0])
         np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear_is_matmul_plus_bias_bit_for_bit(self, bias, x_grad):
+        rng = np.random.default_rng(6)
+        values = [rng.normal(size=(5, 4)), rng.normal(size=(4, 4)), rng.normal(size=(4,))]
+        upstream = rng.normal(size=(5, 4))
+
+        # The weight and bias are used twice, so the order in which their
+        # gradients accumulate shows in the last bits.
+        def fused(x, w, b):
+            b = b if bias else None
+            return linear(linear(x, w, b).tanh(), w, b)
+
+        def unfused(x, w, b):
+            def affine(h):
+                out = h @ w
+                return out + b if bias else out
+
+            return affine(affine(x).tanh())
+
+        _assert_same_tape(fused, unfused, values, [x_grad, True, True], upstream)
+
+    @pytest.mark.parametrize("weights_grad", [True, False])
+    def test_weighted_sum_is_the_sliced_product_loop_bit_for_bit(self, weights_grad):
+        rng = np.random.default_rng(7)
+        values = [rng.normal(size=(6, 4)) for _ in range(3)]
+        values += [rng.normal(size=(4, 4)), rng.normal(size=(6, 3))]
+        upstream = rng.normal(size=(6, 4))
+
+        # As in the attention, the blocks score themselves into the weights.
+        # One parameter both makes the blocks and scores them, so the order
+        # in which its six gradients accumulate shows in the last bits.
+        def build(fuse, *leaves):
+            *inputs, shared, fixed = leaves
+            blocks = [x @ shared for x in inputs]
+            if weights_grad:
+                scores = [(block.tanh() @ shared).sum(axis=1, keepdims=True) for block in blocks]
+                weights = concatenate(scores, axis=1).softmax(axis=1)
+            else:
+                weights = fixed
+            if fuse:
+                return weighted_sum(blocks, weights)
+            result = None
+            for index, block in enumerate(blocks):
+                term = block * weights[:, index : index + 1]
+                result = term if result is None else result + term
+            return result
+
+        _assert_same_tape(
+            functools.partial(build, True), functools.partial(build, False),
+            values, [True, True, True, True, False], upstream,
+        )
+
+    def test_linear_gradient(self):
+        rng = np.random.default_rng(8)
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2,))
+        check_gradient(lambda t: (linear(t, Tensor(w), Tensor(b)) ** 2).sum(), (4, 3))
+        check_gradient(lambda t: (linear(Tensor(x), t, Tensor(b)) ** 2).sum(), (3, 2))
+        check_gradient(lambda t: (linear(Tensor(x), Tensor(w), t) ** 2).sum(), (2,))
+
+    def test_weighted_sum_gradient(self):
+        rng = np.random.default_rng(9)
+        blocks = [rng.normal(size=(4, 3)) for _ in range(3)]
+        weights = rng.normal(size=(4, 3))
+        check_gradient(
+            lambda t: (weighted_sum([Tensor(blocks[0]), t, Tensor(blocks[2])], Tensor(weights)) ** 2).sum(),
+            (4, 3),
+        )
+        check_gradient(lambda t: (weighted_sum([Tensor(b) for b in blocks], t) ** 2).sum(), (4, 3))
 
     def test_unbroadcast_restores_shape(self):
         grad = np.ones((4, 3))

@@ -1,5 +1,8 @@
 """Tests for the trainer and the sparsity sweeps."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,29 @@ class TestTrainer:
         assert [r for r, t in zip(rows, taped) if not t] == [num_eval] * result.epochs_run + [
             graph.num_nodes
         ]
+
+    def test_each_epoch_frees_its_tape_before_the_next_forward(self, homophilous_graph):
+        graph = homophilous_graph
+        model = create_model("MLP", graph, hidden=16, seed=0)
+        forward, tapes, alive = model.forward, [], []
+
+        def watching_forward(cache):
+            alive.append(sum(tape() is not None for tape in tapes))
+            logits = forward(cache)
+            if logits.requires_grad:
+                tapes.append(weakref.ref(logits.data))
+            return logits
+
+        model.forward = watching_forward
+        enabled = gc.isenabled()
+        gc.disable()  # reference counts alone must free each tape
+        try:
+            result = Trainer(epochs=5, patience=5).fit(model, graph)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(tapes) == result.epochs_run == 5
+        assert alive == [0] * (2 * result.epochs_run + 1)
 
 
 class TestRowSlicedFits:
