@@ -26,7 +26,17 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..nn import Dropout, Linear, Module, Parameter, Tensor, concatenate, weighted_sum
+from ..nn import (
+    Dropout,
+    Linear,
+    Module,
+    Parameter,
+    Tensor,
+    concatenate,
+    dropout_linear,
+    dropped_rows,
+    weighted_sum,
+)
 from ..nn import init
 
 DP_ATTENTION_KINDS = ("original", "gate", "recursive", "jk", "none")
@@ -86,22 +96,37 @@ class DirectedPatternAttention(Module):
         elif kind == "recursive":
             self.score = Linear(2 * hidden_features, 1, rng=rng)
 
-    def forward(self, blocks: Sequence[Tensor]) -> Tensor:
-        """Fuse ``[X^(0), X_G1, …, X_Gk]`` (each ``(n, f)``) into ``(n, hidden)``."""
+    def forward(
+        self,
+        blocks: Sequence[Tensor],
+        rows: Optional[np.ndarray] = None,
+        keeps: Optional[Sequence[Optional[np.ndarray]]] = None,
+        p: float = 0.0,
+    ) -> Tensor:
+        """Fuse ``[X^(0), X_G1, …, X_Gk]`` (each ``(n, f)``) into ``(n, hidden)``.
+
+        The blocks are constants, such as ADPA's preprocessed features.  The
+        attention reads rows ``rows`` of each (every row when ``None``),
+        after an input dropout of rate ``p`` that kept ``keeps[i]`` of block
+        ``i`` (``None`` drops nothing).  Each projection is one
+        :func:`~repro.nn.tensor.dropout_linear` node, so the tape holds the
+        boolean masks, not the rows or their dropped-out copies.
+        """
         if len(blocks) != self.num_blocks:
             raise ValueError(
                 f"expected {self.num_blocks} blocks, got {len(blocks)}"
             )
+        keeps = keeps if keeps is not None else [None] * len(blocks)
         if self.kind == "none":
             # Ablation: average the raw blocks and use a single shared
             # projection — no per-operator weighting at all.
-            total = blocks[0]
-            for block in blocks[1:]:
-                total = total + block
-            return self.dropout(self.projections[0](total * (1.0 / len(blocks))))
+            total = dropped_rows(blocks[0].data, rows, keeps[0], p)
+            for block, keep in zip(blocks[1:], keeps[1:]):
+                total = total + dropped_rows(block.data, rows, keep, p)
+            return self.dropout(self.projections[0](Tensor(total * (1.0 / len(blocks)))))
         projected = [
-            self.dropout(projection(block))
-            for projection, block in zip(self.projections, blocks)
+            self.dropout(dropout_linear(block.data, projection.weight, projection.bias, rows, keep, p))
+            for projection, block, keep in zip(self.projections, blocks, keeps)
         ]
         if self.kind == "jk":
             return self.fuse(concatenate(projected, axis=1))

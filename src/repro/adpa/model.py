@@ -23,6 +23,7 @@ import numpy as np
 from ..graph.digraph import DirectedGraph
 from ..models.base import NodeClassifier
 from ..nn import MLP, Dropout, Tensor
+from ..nn import functional as F
 from .attention import DirectedPatternAttention, HopAttention
 from .propagation import build_dp_operators, propagate_features, select_operators
 
@@ -188,28 +189,29 @@ class ADPA(NodeClassifier):
                 raise RuntimeError("ADPA.forward called before preprocess()")
             self.bind_cache(cache)
         steps: List[List[Tensor]] = cache["steps"]
+        rows: Optional[np.ndarray] = cache.get("rows")
+        dropout = self.input_dropout
         hop_representations = []
         for blocks in steps:
-            blocks = [self.input_dropout(block) for block in blocks]
-            hop_representations.append(self.dp_attention(blocks))
+            # One mask per block, step-major, as dropping each block out in
+            # turn would draw them.
+            shape = (blocks[0].shape[0] if rows is None else len(rows), blocks[0].shape[1])
+            keeps = [F.dropout_mask(shape, dropout.p, dropout.training, dropout.rng) for _ in blocks]
+            hop_representations.append(self.dp_attention(blocks, rows, keeps, dropout.p))
         fused = self.hop_attention(hop_representations)
         return self.classifier(fused)
 
     def row_cache(self, cache: Dict[str, object], rows: np.ndarray) -> Dict[str, object]:
-        """Every propagated block cut to ``rows``: both attentions act per node.
+        """The preprocess cache's own blocks and ``rows``: both attentions act per node.
 
-        Each distinct array is cut once: ``X`` sits in every step, and the
-        operators of an undirected graph share their blocks.
+        Nothing is copied.  :meth:`forward` reads rows ``rows`` of each
+        block inside its projections (:func:`repro.nn.dropout_linear`), so a
+        fit holds no per-row copy of the blocks and its tape holds one
+        boolean dropout mask per block instead of the dropped-out rows.
         """
-        cuts: Dict[int, Tensor] = {}
-
-        def cut(block: Tensor) -> Tensor:
-            if id(block.data) not in cuts:
-                cuts[id(block.data)] = Tensor(block.data[rows])
-            return cuts[id(block.data)]
-
         return {
-            "steps": [[cut(block) for block in blocks] for blocks in cache["steps"]],
+            "steps": cache["steps"],
+            "rows": rows,
             "operator_names": cache["operator_names"],
         }
 
@@ -219,7 +221,7 @@ class ADPA(NodeClassifier):
     def hop_weights(self, cache: Dict[str, object]) -> np.ndarray:
         """Per-node hop attention weights for a preprocessed graph."""
         steps: List[List[Tensor]] = cache["steps"]
-        hop_representations = [self.dp_attention(blocks) for blocks in steps]
+        hop_representations = [self.dp_attention(blocks, cache.get("rows")) for blocks in steps]
         return self.hop_attention.attention_weights(hop_representations)
 
     def selected_operators(self, cache: Dict[str, object]) -> List[str]:

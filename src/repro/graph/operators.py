@@ -149,12 +149,19 @@ def directed_pattern_operators(
         truncating the dict by prefix reproduces lower-order ablations.
         When ``A`` and ``Aᵀ`` are stored identically (an undirected
         graph), every word of one length is the same product ``Aᴸ``: it is
-        computed once, and its names share one matrix object.
+        computed once, and its names share one matrix object.  Otherwise a
+        binarised composite word whose dual (the word reversed, with ``A``
+        and ``Aᵀ`` swapped) is already built is that dual's transpose, as
+        ``AᵀAᵀ = (AA)ᵀ``; a transpose replaces the sparse product.
     """
     if order < 1:
         raise ValueError(f"DP order must be >= 1, got {order}")
     base = {"A": sp.csr_matrix(adjacency), "At": sp.csr_matrix(adjacency).T.tocsr()}
     symmetric = _same_csr(base["A"], base["At"])
+    # A word's product and its dual's hold the same terms per entry, summed
+    # in other orders; without negative weights no sum cancels to zero, so
+    # both binarise to the same pattern.
+    transposable = binarize and not (base["A"].data < 0).any()
     built: Dict[Tuple[str, ...], sp.csr_matrix] = {}
     operators: Dict[str, sp.csr_matrix] = {}
     for length in range(1, order + 1):
@@ -163,14 +170,26 @@ def directed_pattern_operators(
             # are stored identically, so the product is bitwise the same.
             canonical = ("A",) * length if symmetric else word
             if canonical not in built:
-                matrix = base[canonical[0]].copy()
-                for symbol in canonical[1:]:
-                    matrix = (matrix @ base[symbol]).tocsr()
-                if binarize:
-                    matrix = _binarize(matrix, remove_self_loops=(length > 1))
+                dual = _dual(canonical)
+                if transposable and length > 1 and dual in built:
+                    # Binarising and dropping the diagonal commute with the
+                    # transpose, which is canonical CSR like drop_diagonal's
+                    # output, so this is bitwise the product's binarisation.
+                    matrix = built[dual].T.tocsr()
+                else:
+                    matrix = base[canonical[0]].copy()
+                    for symbol in canonical[1:]:
+                        matrix = (matrix @ base[symbol]).tocsr()
+                    if binarize:
+                        matrix = _binarize(matrix, remove_self_loops=(length > 1))
                 built[canonical] = matrix
             operators["".join(word)] = built[canonical]
     return operators
+
+
+def _dual(word: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The word of the transposed product: reversed, with ``A`` and ``At`` swapped."""
+    return tuple("At" if symbol == "A" else "A" for symbol in reversed(word))
 
 
 def _same_csr(first: sp.csr_matrix, second: sp.csr_matrix) -> bool:

@@ -17,7 +17,9 @@ Each model is a :class:`repro.nn.Module` with two extra responsibilities:
     Optional.  A model whose forward computes each node's logits from that
     node's cached rows alone (MLP, SGC, ADPA) returns a cache whose forward
     yields the logits of ``rows`` only, so the trainer forwards just the
-    rows its loss and early stopping read.  The default, ``None``, keeps
+    rows its loss and early stopping read.  The row cache may hold copies
+    of those rows (MLP, SGC) or the full cache's own arrays plus the row
+    index, read inside the forward (ADPA).  The default, ``None``, keeps
     the whole-graph forward every message-passing model needs.
 
 The :class:`repro.training.Trainer` drives fit/early-stopping/evaluation on
@@ -95,8 +97,10 @@ class NodeClassifier(Module):
         only if each row's logits depend on that row's inputs alone and
         every dropout it draws is shaped ``(n, ...)`` by node, so that
         under :func:`repro.nn.row_subset` its masks are the rows of a
-        whole-graph draw.  Models that mix rows (message passing, batch
-        statistics) keep this default.
+        whole-graph draw.  The returned cache may copy the rows out, or
+        hold an index into ``cache``'s own arrays that the forward reads
+        them through, which copies nothing.  Models that mix rows (message
+        passing, batch statistics) keep this default.
         """
         return None
 

@@ -10,6 +10,8 @@ from .tensor import (
     Tensor,
     as_tensor,
     concatenate,
+    dropout_linear,
+    dropped_rows,
     linear,
     no_grad,
     ones,
@@ -36,6 +38,8 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concatenate",
+    "dropout_linear",
+    "dropped_rows",
     "linear",
     "no_grad",
     "row_subset",

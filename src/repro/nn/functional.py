@@ -7,11 +7,11 @@ expressed on :class:`repro.nn.tensor.Tensor`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, current_row_subset
+from .tensor import Tensor, as_tensor, current_row_subset, masked_dropout
 
 
 def relu(x: Tensor) -> Tensor:
@@ -45,30 +45,40 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: scales kept activations by ``1/(1-p)`` at train time.
 
-    Inside :func:`repro.nn.tensor.row_subset` the mask is drawn for all
+    One :func:`repro.nn.tensor.masked_dropout` node over the mask
+    :func:`dropout_mask` draws.
+    """
+    keep = dropout_mask(x.shape, p, training, rng)
+    return x if keep is None else masked_dropout(x, keep, p)
+
+
+def dropout_mask(
+    shape: Tuple[int, ...], p: float, training: bool, rng: Optional[np.random.Generator] = None
+) -> Optional[np.ndarray]:
+    """The boolean keep mask dropout draws for an input of ``shape``.
+
+    ``None`` when dropout keeps everything (eval mode or ``p == 0``).
+    Entry ``i`` survives when ``rng.random(shape)[i] >= p``.  Inside
+    :func:`repro.nn.tensor.row_subset` the mask is drawn for all
     ``num_rows`` rows and sliced to the forwarded ones, so the generator
     advances exactly as a whole-graph forward's does.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return x
+        return None
     rng = rng if rng is not None else np.random.default_rng()
     subset = current_row_subset()
     if subset is None:
-        draw = rng.random(x.shape)
-    else:
-        index, num_rows = subset
-        if x.shape[0] != len(index):
-            raise ValueError(
-                f"dropout input has {x.shape[0]} rows inside a row subset of "
-                f"{len(index)}; its mask would not match a whole-graph draw"
-            )
-        draw = rng.random((num_rows,) + x.shape[1:])
-        if len(index) < num_rows:
-            draw = draw[index]
-    keep = (draw >= p).astype(x.data.dtype) / (1.0 - p)
-    return x * Tensor(keep)
+        return rng.random(shape) >= p
+    index, num_rows = subset
+    if shape[0] != len(index):
+        raise ValueError(
+            f"dropout input has {shape[0]} rows inside a row subset of "
+            f"{len(index)}; its mask would not match a whole-graph draw"
+        )
+    keep = rng.random((num_rows,) + tuple(shape[1:])) >= p
+    return keep[index] if len(index) < num_rows else keep
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:

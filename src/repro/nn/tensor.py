@@ -18,6 +18,12 @@ PyTorch semantics at a much smaller scale:
   by per-row weight columns and summed, as attention combines them) each
   record one tape node where their unfused forms record two or three per
   step, with values and gradients equal bit for bit;
+* :func:`masked_dropout` is dropout's one tape node, and it keeps the
+  boolean mask (one byte per element) rather than a float copy of it;
+* :func:`dropout_linear` is dropout followed by a linear map over rows of
+  a constant array (ADPA's preprocessed blocks).  It keeps only the mask,
+  gathers and masks the rows again for the weight gradient, and so holds
+  neither a copy of the rows nor the dropped-out input;
 * constant sparse matrices (``scipy.sparse``) participate through
   :func:`sparse_matmul`, which propagates gradients only to the dense
   operand — exactly what graph propagation needs, because adjacency
@@ -541,6 +547,81 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if bias is None:
             return (grad_x, grad_weight)
         return (grad_x, grad_weight, _unbroadcast(grad, bias.shape))
+
+    return _taped(out_data, parents, backward)
+
+
+def masked_dropout(x: Tensor, keep: np.ndarray, p: float) -> Tensor:
+    """Inverted dropout ``(x * keep) * (1/(1-p))`` as one tape node.
+
+    ``keep`` is the boolean mask of the entries that survive.  The values
+    and the input's gradient equal those of ``x * ((draw >= p) / (1-p))``
+    bit for bit, signed zeros, infinities and NaNs included, while the node
+    keeps the mask at one byte per element and computes no gradient for it.
+    """
+    scale = 1.0 / (1.0 - p)
+    out_data = x.data * keep
+    out_data *= scale
+
+    def backward(grad: np.ndarray):
+        grad_x = grad * keep
+        grad_x *= scale
+        return (grad_x,)
+
+    return _taped(out_data, (x,), backward)
+
+
+def dropped_rows(
+    x: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+    keep: Optional[np.ndarray] = None,
+    p: float = 0.0,
+) -> np.ndarray:
+    """The values of ``masked_dropout(x[rows], keep, p)``, with no tape.
+
+    ``rows`` selects rows of ``x`` (all when ``None``) and ``keep`` masks
+    them (nothing is dropped when ``None``).  With neither, the result is
+    ``x`` itself, so a caller must not write to it.
+    """
+    if keep is None:
+        return x if rows is None else x[rows]
+    if rows is None:
+        dropped = x * keep
+    else:
+        dropped = x[rows]
+        dropped *= keep
+    dropped *= 1.0 / (1.0 - p)
+    return dropped
+
+
+def dropout_linear(
+    x: np.ndarray,
+    weight: Tensor,
+    bias: Optional[Tensor] = None,
+    rows: Optional[np.ndarray] = None,
+    keep: Optional[np.ndarray] = None,
+    p: float = 0.0,
+) -> Tensor:
+    """``linear(masked_dropout(x[rows], keep, p), weight, bias)`` over a constant ``x``.
+
+    ``rows`` selects rows of ``x`` (all when ``None``) and ``keep`` is the
+    dropout mask over them (no dropout when ``None``).  Values and weight
+    and bias gradients equal the unfused form's bit for bit: the backward
+    gathers and masks the rows again for the weight gradient, so the tape
+    keeps ``keep`` and references to ``x``, ``rows`` and the parameters,
+    not the ``(len(rows), f)`` input.  ``x`` receives no gradient.
+    """
+    out_data = dropped_rows(x, rows, keep, p) @ weight.data
+    parents: Tuple[Tensor, ...] = (weight,)
+    if bias is not None:
+        out_data += bias.data
+        parents = (weight, bias)
+
+    def backward(grad: np.ndarray):
+        grad_weight = dropped_rows(x, rows, keep, p).T @ grad if weight.requires_grad else None
+        if bias is None:
+            return (grad_weight,)
+        return (grad_weight, _unbroadcast(grad, bias.shape))
 
     return _taped(out_data, parents, backward)
 

@@ -14,8 +14,11 @@ The :class:`Trainer` drives any :class:`repro.models.NodeClassifier`:
 A model whose :meth:`~repro.models.NodeClassifier.row_cache` slices its
 cache (MLP, SGC, ADPA) forwards only the rows each step reads: the
 training forward covers the training nodes, the per-epoch evaluation the
-training and validation nodes.  Every other model forwards the whole
-graph.  Dropout masks are drawn for all nodes either way (see
+training and validation nodes.  MLP and SGC copy those rows once per fit;
+ADPA's row caches index its preprocess cache, so a fit copies none of its
+blocks and its tape keeps one boolean dropout mask per block and training
+row (see :func:`repro.nn.dropout_linear`).  Every other model forwards the
+whole graph.  Dropout masks are drawn for all nodes either way (see
 :func:`repro.nn.row_subset`), and the final evaluation always forwards
 the whole graph.
 

@@ -171,19 +171,66 @@ class TestOperatorAliasing:
             for block, array in zip(blocks, reference):
                 np.testing.assert_array_equal(block.data, array)
 
-    def test_row_cache_cuts_each_distinct_block_once(self, homophilous_graph):
+    @pytest.mark.parametrize("view", ["natural", "undirected"])
+    def test_row_cache_copies_nothing(self, homophilous_graph, view):
         from repro.graph.transforms import to_undirected
+        from repro.nn import row_subset
 
-        graph = to_undirected(homophilous_graph)
-        model = ADPA.from_graph(graph, hidden=8, num_steps=3)
-        cache = model.preprocess(graph)
+        graph = to_undirected(homophilous_graph) if view == "undirected" else homophilous_graph
         rows = np.flatnonzero(graph.train_mask)
-        sliced = model.row_cache(cache, rows)
-        cut = {id(block.data) for blocks in sliced["steps"] for block in blocks}
-        assert len(cut) == len({id(block.data) for blocks in cache["steps"] for block in blocks})
+        models = [ADPA.from_graph(graph, hidden=8, num_steps=3, seed=5) for _ in range(2)]
+        cache = models[0].preprocess(graph)
+        models[1].bind_cache(cache)
+        sliced = models[0].row_cache(cache, rows)
         for blocks, full in zip(sliced["steps"], cache["steps"]):
             for block, whole in zip(blocks, full):
-                np.testing.assert_array_equal(block.data, whole.data[rows])
+                assert block.data is whole.data
+        # The blocks cut to the rows, as a row cache used to hold them.
+        copies = {
+            "steps": [[Tensor(block.data[rows]) for block in blocks] for blocks in cache["steps"]],
+            "operator_names": cache["operator_names"],
+        }
+        served = [models[0].predict_logits(graph, sliced), models[1].predict_logits(graph, copies)]
+        assert served[0].tobytes() == served[1].tobytes()
+        trained = []
+        for model, row_cache in zip(models, (sliced, copies)):
+            model.train()
+            with row_subset(rows, graph.num_nodes):
+                trained.append(model.forward(row_cache).data)
+        assert trained[0].tobytes() == trained[1].tobytes()
+
+
+class TestTrainingMemory:
+    #: Floats a training forward leaves on the tape per DP block and
+    #: training row on the ogbn-arxiv stand-in (f = 96, hidden 64, 21
+    #: blocks).  Each block keeps its boolean dropout mask (f/8) and its
+    #: projection and score outputs (2·hidden); the hop attention and the
+    #: classifier add about 1·hidden per block.  Measured: 206 floats, and
+    #: 295 when the tape held each block's dropped-out rows (f) instead.
+    TAPE_FLOATS_PER_BLOCK_ROW = 225
+
+    def test_training_tape_holds_masks_not_rows(self):
+        import tracemalloc
+
+        from repro.datasets import load_dataset
+        from repro.nn import row_subset
+
+        graph = load_dataset("ogbn-arxiv")
+        model = ADPA.from_graph(graph, hidden=64, num_steps=3, seed=0)
+        cache = model.preprocess(graph)
+        rows = np.flatnonzero(graph.train_mask)
+        blocks = sum(len(step) for step in cache["steps"])
+        model.train()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with row_subset(rows, graph.num_nodes):
+                logits = model.forward(model.row_cache(cache, rows))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert logits.requires_grad
+        assert held / 8 / blocks / len(rows) < self.TAPE_FLOATS_PER_BLOCK_ROW
 
 
 class TestAttentionModules:

@@ -11,7 +11,13 @@ import scipy.sparse as sp
 
 from repro.nn import Tensor, concatenate, no_grad, row_subset, sparse_matmul, stack, where
 from repro.nn import functional as F
-from repro.nn.tensor import _unbroadcast, current_row_subset, linear, weighted_sum
+from repro.nn.tensor import (
+    _unbroadcast,
+    current_row_subset,
+    dropout_linear,
+    linear,
+    weighted_sum,
+)
 
 
 def numerical_gradient(func, value: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -331,6 +337,56 @@ class TestFreeFunctions:
             values, [True, True, True, True, False], upstream,
         )
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("sliced", [True, False])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.7])
+    def test_dropout_linear_is_linear_of_dropout_bit_for_bit(self, p, sliced):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(12, 5))
+        x[0, :3] = [-0.0, np.inf, -np.inf]
+        x[7, 2:] = [-0.0, np.inf, 1e300]
+        rows = np.array([0, 2, 3, 7, 11]) if sliced else None
+        weight, bias = rng.normal(size=(5, 4)), rng.normal(size=(4,))
+        num_rows = 5 if sliced else 12
+        upstream = rng.normal(size=(num_rows, 4))
+        index = rows if sliced else np.arange(12)
+
+        def fused(w, b):
+            keep = F.dropout_mask((num_rows, 5), p, True, np.random.default_rng(3))
+            return dropout_linear(x, w, b, rows, keep, p)
+
+        def unfused(w, b):
+            dropped = F.dropout(Tensor(x[index]), p, True, np.random.default_rng(3))
+            return linear(dropped, w, b)
+
+        def float_mask(w, b):
+            # Dropout as it was once computed: a product with a float mask.
+            draw = np.random.default_rng(3).random(x.shape)[index]
+            return linear(Tensor(x[index]) * Tensor((draw >= p).astype(np.float64) / (1.0 - p)), w, b)
+
+        results = []
+        for build in (fused, unfused, float_mask):
+            w, b = Tensor(weight.copy(), requires_grad=True), Tensor(bias.copy(), requires_grad=True)
+            with row_subset(index, 12):
+                out = build(w, b)
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data.tobytes(), w.grad.tobytes(), b.grad.tobytes()))
+        assert results[0] == results[1] == results[2]
+        assert not np.isfinite(np.frombuffer(results[0][0])).all()
+
+    def test_dropout_linear_keeps_the_mask_not_the_rows(self):
+        x = np.random.default_rng(11).normal(size=(50, 8))
+        w = Tensor(np.ones((8, 3)), requires_grad=True)
+        keep = np.random.default_rng(12).random((20, 8)) >= 0.5
+        out = dropout_linear(x, w, None, np.arange(0, 40, 2), keep, 0.5)
+        assert out._parents == (w,)
+        held = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        arrays = [value for value in held if isinstance(value, np.ndarray)]
+        assert {value.dtype for value in arrays if value.shape == keep.shape} == {np.dtype(bool)}
+        assert not any(value.dtype == np.float64 and value.shape == keep.shape for value in arrays)
+        with no_grad():
+            assert dropout_linear(x, w, None).data.tobytes() == (x @ w.data).tobytes()
+
     def test_linear_gradient(self):
         rng = np.random.default_rng(8)
         x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(2,))
@@ -354,6 +410,35 @@ class TestFreeFunctions:
         np.testing.assert_allclose(reduced, np.full(3, 4.0))
         reduced_keepdim = _unbroadcast(grad, (1, 3))
         assert reduced_keepdim.shape == (1, 3)
+
+
+class TestDropout:
+    def test_dropout_is_one_node_that_keeps_a_boolean_mask(self):
+        x = Tensor(np.random.default_rng(13).normal(size=(6, 4)), requires_grad=True)
+        out = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(0))
+        assert out._parents == (x,)
+        held = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        masks = [value for value in held if isinstance(value, np.ndarray)]
+        assert [mask.dtype for mask in masks] == [np.dtype(bool)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_values_and_gradient_equal_the_float_mask_bit_for_bit(self, p):
+        rng = np.random.default_rng(int(p * 10))
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 5e-324])
+        for _ in range(40):
+            x = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-300, 300, size=(7, 5))
+            x.flat[rng.integers(0, x.size, size=8)] = rng.choice(specials, size=8)
+            upstream = rng.normal(size=x.shape)
+            upstream.flat[rng.integers(0, x.size, size=4)] = rng.choice(specials, size=4)
+            seed = int(rng.integers(1 << 30))
+            draw = np.random.default_rng(seed).random(x.shape)
+            keep = (draw >= p).astype(np.float64) / (1.0 - p)
+            leaf = Tensor(x.copy(), requires_grad=True)
+            out = F.dropout(leaf, p, training=True, rng=np.random.default_rng(seed))
+            out.backward(upstream)
+            assert out.data.tobytes() == (x * keep).tobytes()
+            assert leaf.grad.tobytes() == (upstream * keep).tobytes()
 
 
 class TestNoGrad:

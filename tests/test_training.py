@@ -124,15 +124,21 @@ class TestTrainer:
 class TestRowSlicedFits:
     """Decoupled models train on the rows the loss reads, as if on all rows."""
 
+    #: Each ADPA DP attention family reads its rows on its own path.
     MODELS = {
-        "ADPA": dict(hidden=16, num_steps=2),
-        "MLP": dict(hidden=16),
-        "SGC": dict(dropout=0.5),
+        "ADPA": ("ADPA", dict(hidden=16, num_steps=2)),
+        **{
+            f"ADPA-{family}": ("ADPA", dict(hidden=16, num_steps=2, dp_attention=family))
+            for family in ("gate", "recursive", "jk", "none")
+        },
+        "MLP": ("MLP", dict(hidden=16)),
+        "SGC": ("SGC", dict(dropout=0.5)),
     }
 
     @classmethod
     def _fit(cls, name, graph, slice_rows):
-        model = create_model(name, graph, seed=3, **cls.MODELS[name])
+        registry_name, kwargs = cls.MODELS[name]
+        model = create_model(registry_name, graph, seed=3, **kwargs)
         forward, rows = model.forward, []
 
         def counting_forward(cache):
@@ -166,7 +172,7 @@ class TestRowSlicedFits:
     def test_row_cache_forwards_only_the_given_rows(self, heterophilous_graph):
         graph = heterophilous_graph
         rows = np.flatnonzero(graph.val_mask)
-        for name, kwargs in self.MODELS.items():
+        for name, kwargs in self.MODELS.values():
             model = create_model(name, graph, seed=0, **kwargs)
             cache = model.preprocess(graph)
             whole = model.predict_logits(graph, cache)
