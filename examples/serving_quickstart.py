@@ -11,8 +11,9 @@ The script walks the full serving lifecycle through the public API
    (weights ``.npz`` + config/decision JSON + the modeled graph);
 2. restore the artifact as a fresh process would and verify the predictions
    are bit-identical;
-3. serve the artifact behind the micro-batching engine and fire concurrent
-   node-subset requests at it, printing latency, batch and cache statistics.
+3. serve the restored model through a one-shard router (the micro-batching
+   engine behind a bounded slot pool) and fire concurrent node-subset
+   requests at it, printing latency, batch and cache statistics.
 
 For multiple artifacts behind one front door (shard routing, asyncio), see
 ``examples/api_quickstart.py``.
@@ -54,18 +55,18 @@ def main(dataset_name: str = "chameleon") -> None:
         exact = bool(np.array_equal(model.predict(), expected))
         print(f"fresh-process reload reproduces predictions exactly: {exact}")
 
-        server = restored.serve()
+        router = session.serve(restored)
 
         def client(seed: int, rounds: int = 25) -> None:
             rng = np.random.default_rng(seed)
-            n = server.graph.num_nodes
+            n = restored.graph.num_nodes
             for _ in range(rounds):
                 ids = rng.choice(n, size=min(16, n), replace=False)
-                predictions = server.predict(node_ids=ids, timeout=60)
+                predictions = router.predict(node_ids=ids, timeout=60)
                 assert np.array_equal(predictions, expected[ids])
 
         print(f"\nserving {restored.model_name} with 4 concurrent clients ...")
-        with server:
+        with router:
             start = time.perf_counter()
             threads = [threading.Thread(target=client, args=(seed,)) for seed in range(4)]
             for thread in threads:
@@ -73,7 +74,7 @@ def main(dataset_name: str = "chameleon") -> None:
             for thread in threads:
                 thread.join()
             elapsed = time.perf_counter() - start
-            stats = server.stats()
+            (stats,) = router.stats().shards.values()
 
         print(f"served {stats.requests} requests in {elapsed:.3f}s "
               f"({stats.requests / elapsed:.0f} req/s)")

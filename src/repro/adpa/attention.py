@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..nn import (
-    Dropout,
     Linear,
     Module,
     Parameter,
@@ -70,7 +69,6 @@ class DirectedPatternAttention(Module):
         hidden_features: int,
         num_blocks: int,
         kind: str = "original",
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -79,7 +77,6 @@ class DirectedPatternAttention(Module):
         rng = rng if rng is not None else np.random.default_rng()
         self.kind = kind
         self.num_blocks = num_blocks
-        self.dropout = Dropout(dropout, rng=rng)
         # Per-block projections implement the concatenation-then-MLP of
         # Eq. (10): a linear layer applied to the concatenation of k+1 blocks
         # is exactly the sum of k+1 block-specific linear maps, and keeping
@@ -123,9 +120,9 @@ class DirectedPatternAttention(Module):
             total = dropped_rows(blocks[0].data, rows, keeps[0], p)
             for block, keep in zip(blocks[1:], keeps[1:]):
                 total = total + dropped_rows(block.data, rows, keep, p)
-            return self.dropout(self.projections[0](Tensor(total * (1.0 / len(blocks)))))
+            return self.projections[0](Tensor(total * (1.0 / len(blocks))))
         projected = [
-            self.dropout(dropout_linear(block.data, projection.weight, projection.bias, rows, keep, p))
+            dropout_linear(block.data, projection.weight, projection.bias, rows, keep, p)
             for projection, block, keep in zip(self.projections, blocks, keeps)
         ]
         if self.kind == "jk":

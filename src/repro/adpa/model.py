@@ -154,7 +154,6 @@ class ADPA(NodeClassifier):
             hidden_features=self.hidden,
             num_blocks=num_blocks,
             kind=self.dp_attention_kind,
-            dropout=0.0,
             rng=self._rng,
         )
         self.hop_attention = HopAttention(

@@ -5,9 +5,8 @@ One documented way to drive the system end to end::
     from repro.api import Session, SweepSpec
 
     model = Session().load("chameleon").amud().fit()  # guidance-selected, trained
-    server = model.serve()                            # one micro-batching engine
     model.save("runs/chameleon")
-    router = Session().serve("runs/chameleon")        # multi-artifact front door
+    router = Session().serve(model, "runs/texas")     # handles and/or artifact dirs
 
     cell = Session().load("texas").fit_repeated("MLP", hidden=16)  # mean ± std
     report = Session().experiment(                                 # full grid

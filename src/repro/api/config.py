@@ -10,7 +10,8 @@ network front-end without kwargs drift:
 * :class:`AmudConfig` — the AMUD threshold θ and the model the guidance
   selects for each paradigm;
 * :class:`ServeConfig` — the coalescing window and the back-pressure limit
-  for :class:`repro.serving.InferenceServer` / :class:`repro.serving.ShardRouter`;
+  of a :class:`repro.serving.ShardRouter` and the engines it owns;
+* :class:`HttpConfig` — the HTTP front door's bind address and body limit;
 * :class:`ExperimentConfig` — the paper's repeated-trial protocol (seeds,
   trainer settings, model kwargs, worker bound);
 * :class:`SweepSpec` — a declarative models × datasets × variants grid
@@ -147,7 +148,7 @@ class AmudConfig:
 
 @dataclass(frozen=True)
 class HttpConfig:
-    """Bind address and body/time limits for the HTTP front door.
+    """Bind address and body limit for the HTTP front door.
 
     ``port=0`` asks the OS for a free port (the bound one is published on
     the running :class:`repro.serving.HttpServer`), which is how tests and
@@ -157,24 +158,16 @@ class HttpConfig:
     host: str = "127.0.0.1"
     port: int = 8100
     max_body_bytes: int = 1 << 20
-    request_timeout: float = 60.0
 
     def __post_init__(self) -> None:
         if not (0 <= self.port <= 65535):
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
         if self.max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be >= 1, got {self.max_body_bytes}")
-        if self.request_timeout <= 0:
-            raise ValueError(f"request_timeout must be > 0, got {self.request_timeout}")
 
     def server_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs for :class:`repro.serving.HttpServer`."""
-        return {
-            "host": self.host,
-            "port": self.port,
-            "max_body_bytes": self.max_body_bytes,
-            "request_timeout": self.request_timeout,
-        }
+        return {"host": self.host, "port": self.port, "max_body_bytes": self.max_body_bytes}
 
     def replace(self, **changes) -> "HttpConfig":
         return replace(self, **changes)
@@ -185,7 +178,11 @@ class HttpConfig:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Serving limits shared by the single engine and the shard router."""
+    """Serving limits of a :class:`repro.serving.ShardRouter`.
+
+    ``max_wait_ms`` is the coalescing window of every engine the router
+    owns; ``router_max_pending`` bounds admission.
+    """
 
     max_wait_ms: float = 2.0
     #: cap on in-flight requests across all shards of one router: the only
@@ -197,10 +194,6 @@ class ServeConfig:
             raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.router_max_pending < 1:
             raise ValueError(f"router_max_pending must be >= 1, got {self.router_max_pending}")
-
-    def engine_kwargs(self) -> Dict[str, object]:
-        """Constructor kwargs for one :class:`InferenceServer`."""
-        return {"max_wait_ms": self.max_wait_ms}
 
     def router_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs for a :class:`ShardRouter`."""

@@ -12,13 +12,15 @@ configs and hands out immutable-ish handles that chain the steps::
     model.save("runs/chameleon")         # versioned serving artifact
 
     restored = Session().restore("runs/chameleon")
-    router = Session().serve("runs/chameleon", "runs/texas")  # front door
+    router = Session().serve(restored, "runs/texas")  # front door
 
 :class:`GraphHandle` wraps a loaded graph (optionally with its AMUD
 decision); :class:`ModelHandle` wraps a trained model bound to the graph it
 was trained on.  Both are thin, explicit and serializable through the
 artifact layer, so programs, the CLI and a network front-end share exactly
-one code path.
+one code path.  Serving has one stack: :meth:`Session.serve` builds a
+:class:`repro.serving.ShardRouter` over handles and artifact directories,
+and :meth:`Session.serve_http` puts the HTTP front door in front of it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from ..metrics.homophily import homophily_report
 from ..models.base import NodeClassifier
 from ..models.registry import create_model, get_spec
 from ..serving.artifacts import ModelArtifact, restore_model, save_model
-from ..serving.engine import InferenceServer
 from ..serving.http import HttpServer
 from ..serving.router import ShardRouter
 from ..training.trainer import Trainer, TrainResult
@@ -114,7 +115,9 @@ class Session:
 
     A session is cheap — it owns no trained state, only configuration — so
     creating one per request or one per program are both fine.  All
-    defaults can be overridden per call on the handles.
+    defaults can be overridden per call on the handles.  Its
+    :class:`ServeConfig` sizes every router :meth:`serve` builds, one
+    model or many.
     """
 
     def __init__(
@@ -207,11 +210,14 @@ class Session:
     ) -> ShardRouter:
         """Build a :class:`ShardRouter` over handles and/or artifact dirs.
 
-        The router is returned un-started; use it as a context manager (or
-        call ``start()``/``stop()``).  All shards share one operator cache
-        and one weights-versioned logit cache.  ``cache_dir`` warms both
-        from a :meth:`repro.serving.ShardRouter.spill` directory *before*
-        the artifacts load, so a hit skips their preprocessing and, on the
+        The one way to serve in-process, for one model or many.  The
+        router is returned un-started; use it as a context manager (or
+        call ``start()``/``stop()``).  Its slot pool,
+        ``config.router_max_pending``, bounds admission.  All shards share
+        one operator cache and one weights-versioned logit cache.
+        ``cache_dir`` warms both from a
+        :meth:`repro.serving.ShardRouter.spill` directory *before* the
+        artifacts load, so a hit skips their preprocessing and, on the
         first request, their forward.
         """
         config = config if config is not None else self.serve_config
@@ -238,38 +244,15 @@ class Session:
     ) -> HttpServer:
         """Build (un-started) the HTTP front door over a :meth:`serve` router.
 
-        Starting the returned :class:`repro.serving.HttpServer` starts the
-        underlying router too, and stopping it stops both — one
+        The returned :class:`repro.serving.HttpServer` owns the router:
+        starting it starts the router, and stopping it stops both — one
         ``with session.serve_http(...) as server:`` block owns the whole
         stack.  ``http`` sets the bind address and limits; it defaults to
         :class:`HttpConfig`'s defaults.
         """
         http = http if http is not None else HttpConfig()
         router = self.serve(*sources, config=config, cache_dir=cache_dir)
-        return _SessionHttpServer(router, **http.server_kwargs())
-
-
-class _SessionHttpServer(HttpServer):
-    """An :class:`HttpServer` owning its router's lifecycle.
-
-    :meth:`Session.serve_http` builds the router internally, so nobody
-    else can start or stop it; binding both lifecycles here keeps the
-    public surface to one object.
-    """
-
-    def start(self) -> "HttpServer":
-        self.router.start()
-        try:
-            return super().start()
-        except BaseException:
-            self.router.stop()
-            raise
-
-    def stop(self, timeout: Optional[float] = 10.0) -> None:
-        try:
-            super().stop(timeout)
-        finally:
-            self.router.stop()
+        return HttpServer(router, **http.server_kwargs())
 
 
 @dataclass
@@ -431,9 +414,9 @@ class ModelHandle:
     """A trained model bound to the graph it models.
 
     Everything downstream of training hangs off this handle: bit-exact
-    prediction, artifact export (:meth:`save`), single-engine serving
-    (:meth:`serve`) and registration as a router shard
-    (:meth:`Session.serve`).
+    prediction, artifact export (:meth:`save`) and serving as a router
+    shard (``session.serve(handle)``, which reuses the handle's cached
+    preprocess).
     """
 
     session: Session
@@ -487,17 +470,3 @@ class ModelHandle:
         if metadata:
             payload.update(metadata)
         return save_model(self.model, directory, metadata=payload, graph=self.graph)
-
-    # ------------------------------------------------------------------ #
-    # Serving
-    # ------------------------------------------------------------------ #
-    def serve(self, config: Optional[ServeConfig] = None) -> InferenceServer:
-        """A micro-batching engine for this model, cache pre-warmed.
-
-        Returned un-started; use as a context manager.  For several models
-        behind one front door, use :meth:`Session.serve` instead.
-        """
-        config = config if config is not None else self.session.serve_config
-        server = InferenceServer(self.model, self.graph, **config.engine_kwargs())
-        server.cache.seed(self.model, self.graph, self._preprocess_cache)
-        return server

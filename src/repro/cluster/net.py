@@ -511,18 +511,15 @@ class WorkerListener:
         address: str,
         *,
         secret: str,
-        handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
-        backlog: int = 16,
     ) -> None:
         if not secret:
             raise ValueError("a connect-back listener requires a non-empty secret")
         host, port = parse_hostport(address)
         self._secret = secret
-        self._handshake_timeout = handshake_timeout
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
-        sock.listen(backlog)
+        sock.listen(16)
         self._sock = sock
         self.host = host
         self.port = int(sock.getsockname()[1])
@@ -558,9 +555,7 @@ class WorkerListener:
     def _register(self, conn: socket.socket, addr) -> None:
         peer = f"{addr[0]}:{addr[1]}"
         try:
-            reader, info = server_handshake(
-                conn, self._secret, timeout=self._handshake_timeout
-            )
+            reader, info = server_handshake(conn, self._secret)
         except (ProtocolError, OSError) as error:
             self._rejected += 1
             print(

@@ -74,7 +74,7 @@ DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 DEFAULT_MAX_RESTARTS = 3
 
 #: how long a starting or respawned worker may take to replay its init ops.
-DEFAULT_INIT_TIMEOUT = 300.0
+INIT_TIMEOUT = 300.0
 
 #: how long a remote slot waits for a worker to connect back (first spawn
 #: and every respawn) before the attempt counts as a failed restart.
@@ -414,7 +414,6 @@ class WorkerPool(StatsSource):
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
-        init_timeout: float = DEFAULT_INIT_TIMEOUT,
         listen: Optional[str] = None,
         secret: Optional[str] = None,
         remote: Optional[int] = None,
@@ -439,7 +438,6 @@ class WorkerPool(StatsSource):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_restarts = max_restarts
-        self.init_timeout = init_timeout
         self.register_timeout = register_timeout
 
         if listen is None:
@@ -689,9 +687,9 @@ class WorkerPool(StatsSource):
         """Replay the init ops into launched ``workers``, then mark them healthy.
 
         Each op goes to every worker before any answer is awaited, so the
-        workers run it side by side under one ``init_timeout`` deadline.
+        workers run it side by side under one :data:`INIT_TIMEOUT` deadline.
         """
-        deadline = time.monotonic() + self.init_timeout
+        deadline = time.monotonic() + INIT_TIMEOUT
         for op, args in self.init_ops:
             futures = [worker.send(op, args) for worker in workers]
             for future in futures:

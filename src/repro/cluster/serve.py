@@ -32,17 +32,14 @@ from typing import TYPE_CHECKING, Any, Awaitable, Callable, Dict, Mapping, Optio
 from ..obs.histogram import HistogramStats
 from ..obs.prometheus import render_prometheus
 from ..serving.http import (
-    DEFAULT_DRAIN_TIMEOUT,
     DEFAULT_HOST,
-    DEFAULT_MAX_BODY_BYTES,
     DEFAULT_PORT,
-    DEFAULT_REQUEST_TIMEOUT,
+    REQUEST_TIMEOUT,
     BaseHttpServer,
     parse_predict_body,
 )
 from .net import CONNECT_PLACEHOLDER, read_secret, ssh_worker_command
 from .pool import (
-    DEFAULT_REGISTER_TIMEOUT,
     ClusterUnavailable,
     RemoteError,
     TaskTimeout,
@@ -70,51 +67,33 @@ class ClusterHttpServer(BaseHttpServer):
 
     Pool calls are blocking (they wait on a worker pipe), so handlers run
     them on the default thread-pool executor — the event loop stays free
-    to accept connections while N workers crunch in parallel.
-
-    With ``own_pool=True`` (what :func:`serve_cluster` sets) the server
-    starts and stops the pool with itself; otherwise the pool's lifecycle
-    stays the caller's.
+    to accept connections while N workers crunch in parallel.  The server
+    owns the pool's lifecycle: :meth:`start` starts the pool before
+    binding, and :meth:`stop` stops it after the drain.
     """
 
     def __init__(
-        self,
-        pool: WorkerPool,
-        *,
-        host: str = DEFAULT_HOST,
-        port: int = DEFAULT_PORT,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-        own_pool: bool = False,
+        self, pool: WorkerPool, *, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT
     ) -> None:
-        super().__init__(
-            host=host,
-            port=port,
-            max_body_bytes=max_body_bytes,
-            request_timeout=request_timeout,
-            drain_timeout=drain_timeout,
-        )
+        super().__init__(host=host, port=port)
         self.pool = pool
-        self.own_pool = own_pool
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "ClusterHttpServer":
-        if self.own_pool:
-            self.pool.start()
+        self.pool.start()
         try:
             super().start()
         except BaseException:
-            if self.own_pool:
-                self.pool.stop()
+            self.pool.stop()
             raise
         return self
 
     def stop(self, timeout: Optional[float] = 10.0) -> None:
-        super().stop(timeout)
-        if self.own_pool:
+        try:
+            super().stop(timeout)
+        finally:
             self.pool.stop()
 
     # ------------------------------------------------------------------ #
@@ -124,18 +103,14 @@ class ClusterHttpServer(BaseHttpServer):
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None,
-            functools.partial(
-                self.pool.call, op, args, timeout=self.request_timeout
-            ),
+            functools.partial(self.pool.call, op, args, timeout=REQUEST_TIMEOUT),
         )
 
     async def _pool_broadcast(self, op: str) -> Dict[str, Any]:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             None,
-            functools.partial(
-                self.pool.broadcast, op, {}, timeout=self.request_timeout
-            ),
+            functools.partial(self.pool.broadcast, op, {}, timeout=REQUEST_TIMEOUT),
         )
 
     @staticmethod
@@ -183,14 +158,6 @@ class ClusterHttpServer(BaseHttpServer):
             "latency": HistogramStats.merged(histograms).as_dict(),
         }
 
-    def metrics_text(self) -> str:
-        """Aggregated ``/metrics``; worker series carry a ``worker`` label."""
-        worker_stats = self.pool.broadcast("stats", {}, timeout=self.request_timeout)
-        return (
-            render_prometheus(self._cluster_snapshot(worker_stats), prefix="repro_cluster")
-            + self._http_metrics_lines()
-        )
-
     # ------------------------------------------------------------------ #
     # Routes
     # ------------------------------------------------------------------ #
@@ -233,6 +200,7 @@ class ClusterHttpServer(BaseHttpServer):
         }
 
     async def _handle_metrics(self, *, query: str, body: bytes) -> Tuple[int, object]:
+        """Aggregated ``/metrics``; worker series carry a ``worker`` label."""
         worker_stats = await self._pool_broadcast("stats")
         text = (
             render_prometheus(self._cluster_snapshot(worker_stats), prefix="repro_cluster")
@@ -249,7 +217,7 @@ class ClusterHttpServer(BaseHttpServer):
         try:
             result = await self._pool_call(
                 "predict",
-                {"node_ids": node_ids, "shard": shard, "timeout": self.request_timeout},
+                {"node_ids": node_ids, "shard": shard, "timeout": REQUEST_TIMEOUT},
             )
         except ClusterUnavailable as error:
             # Every worker is dead or mid-restart: shed, don't queue.
@@ -276,17 +244,10 @@ def serve_cluster(
     serve: Optional[ServeConfig] = None,
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-    task_timeout: Optional[float] = None,
     max_restarts: int = 3,
     listen: Optional[str] = None,
-    secret: Optional[str] = None,
     secret_file: Optional[str] = None,
     worker_hosts: Optional[Sequence[str]] = None,
-    remote_workers: Optional[int] = None,
-    register_timeout: float = DEFAULT_REGISTER_TIMEOUT,
     ssh_python: str = "python3",
 ) -> ClusterHttpServer:
     """Build (not start) the multi-process serving stack.
@@ -297,12 +258,12 @@ def serve_cluster(
     Returns a :class:`ClusterHttpServer` owning the pool; use it as a
     context manager or call ``start()``/``stop()``.
 
-    With ``listen="HOST:PORT"`` (plus a shared secret via ``secret`` or
-    ``secret_file``) some or all worker slots are filled by connect-back
-    TCP workers instead of local forks: ``worker_hosts`` names machines to
-    ssh a worker onto (one slot each, respawned over ssh after a crash),
-    ``remote_workers`` reserves slots for externally-started ``--connect``
-    workers.  Remote workers ignore ``cache_dir`` — a parent-machine path
+    With ``listen="HOST:PORT"`` (plus the shared secret in
+    ``secret_file``) worker slots are filled by connect-back TCP workers
+    instead of local forks: ``worker_hosts`` names machines to ssh a
+    worker onto (one slot each, respawned over ssh after a crash; the
+    other slots fork locally); without it every slot waits for an
+    externally-started ``--connect`` worker.  Remote workers ignore ``cache_dir`` — a parent-machine path
     means nothing to them — and warm/spill in their own per-host warm dir.
     """
     load_args: Dict[str, Any] = {
@@ -310,8 +271,7 @@ def serve_cluster(
         "cache_dir": str(cache_dir) if cache_dir is not None else None,
         "serve": asdict(serve) if serve is not None else {},
     }
-    if secret is None and secret_file is not None:
-        secret = read_secret(secret_file)
+    secret = read_secret(secret_file) if secret_file is not None else None
     spawn_commands = None
     if worker_hosts:
         if secret_file is None:
@@ -325,27 +285,13 @@ def serve_cluster(
             )
             for worker_host in worker_hosts
         ]
-        if remote_workers is None:
-            remote_workers = len(spawn_commands)
     pool = WorkerPool(
         workers,
         init_ops=[("load", load_args)],
-        task_timeout=task_timeout if task_timeout is not None else max(
-            DEFAULT_REQUEST_TIMEOUT, request_timeout
-        ),
+        task_timeout=REQUEST_TIMEOUT,
         max_restarts=max_restarts,
         listen=listen,
         secret=secret,
-        remote=remote_workers,
         spawn_commands=spawn_commands,
-        register_timeout=register_timeout,
     )
-    return ClusterHttpServer(
-        pool,
-        host=host,
-        port=port,
-        max_body_bytes=max_body_bytes,
-        request_timeout=request_timeout,
-        drain_timeout=drain_timeout,
-        own_pool=True,
-    )
+    return ClusterHttpServer(pool, host=host, port=port)

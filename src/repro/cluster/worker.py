@@ -35,8 +35,9 @@ Supported ops:
     dir (``--warm-dir``, default under the local tmpdir), so every host
     warms and spills locally.
 ``predict``
-    route one request through the loaded router; returns predictions,
-    latency and per-stage spans.
+    route one request through the loaded router; returns the front
+    door's ``/predict`` answer (:func:`repro.serving.http.predict_answer`)
+    plus the worker id.
 ``stats``
     the worker's router snapshot plus worker identity.
 ``spill``
@@ -172,21 +173,16 @@ def _require_router(state: _State):
 
 
 def _op_predict(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:
+    from ..serving.http import predict_answer
+
     router = _require_router(state)
     node_ids = args.get("node_ids")
     shard = args.get("shard")
     timeout = float(args.get("timeout", 60.0))
     info = router.resolve(shard=shard)
     ticket = router.submit(node_ids, shard=info.name, timeout=timeout)
-    predictions = ticket.result(timeout=timeout)
-    spans = ticket.spans()
-    return {
-        "worker": state.worker_id,
-        "shard": info.name,
-        "predictions": predictions.tolist(),
-        "latency_ms": round(1e3 * (ticket.latency_seconds or 0.0), 4),
-        "spans": {stage: round(value, 4) for stage, value in spans.items()},
-    }
+    ticket.result(timeout=timeout)
+    return {"worker": state.worker_id, **predict_answer(info.name, ticket)}
 
 
 def _op_stats(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:

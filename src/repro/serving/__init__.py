@@ -1,18 +1,24 @@
 """Serving layer: artifacts, operator caching and micro-batched inference.
 
 Takes any trained registry model or :class:`repro.api.ModelHandle` from
-"trained in memory" to "served under concurrent load":
+"trained in memory" to "served under concurrent load" through one stack,
+:class:`ShardRouter` → per-shard :class:`InferenceServer` → shared
+operator and logit caches (:meth:`repro.api.Session.serve` builds it):
 
 * :mod:`repro.serving.artifacts` — versioned save/load of weights + config;
 * :mod:`repro.serving.cache` — bounded LRU reuse of ``preprocess()`` output
   and of logits, both spillable to one directory of ``.npy`` files per
   entry and warmed back as read-only maps;
-* :mod:`repro.serving.engine` — the micro-batching :class:`InferenceServer`;
-* :mod:`repro.serving.router` — the multi-artifact :class:`ShardRouter`
-  front door with sync ``submit`` and asyncio ``asubmit``;
+* :mod:`repro.serving.engine` — the micro-batching :class:`InferenceServer`
+  a router builds for each shard;
+* :mod:`repro.serving.router` — the :class:`ShardRouter` front door, one
+  shard or many, with sync ``submit`` and asyncio ``asubmit``;
 * :mod:`repro.serving.http` — the stdlib-asyncio :class:`HttpServer`
-  exposing a router over HTTP (``/predict``, ``/stats``, ``/metrics``,
-  ``/traces``) with 429 load shedding.
+  that starts, exposes over HTTP (``/predict``, ``/stats``, ``/metrics``,
+  ``/traces``, with 429 load shedding) and stops one router.
+
+Fingerprints live in :mod:`repro.fingerprint`, the stats protocol in
+:mod:`repro.obs`.
 """
 
 from .artifacts import (
@@ -33,14 +39,6 @@ from .engine import (
     ServerStats,
 )
 from .http import BaseHttpServer, HttpServer, HttpStats
-from ..fingerprint import (
-    array_digest,
-    graph_fingerprint,
-    model_fingerprint,
-    preprocess_key,
-    state_fingerprint,
-)
-from ..obs.stats import Stats, StatsSource
 from .router import RouterStats, ShardInfo, ShardRouter, UnknownShard
 
 __all__ = [
@@ -66,12 +64,5 @@ __all__ = [
     "ShardInfo",
     "RouterStats",
     "UnknownShard",
-    "Stats",
-    "StatsSource",
     "tune_allocator_for_churn",
-    "array_digest",
-    "graph_fingerprint",
-    "model_fingerprint",
-    "preprocess_key",
-    "state_fingerprint",
 ]

@@ -9,8 +9,8 @@ thread that
 1. pulls the first pending request off a thread-safe queue,
 2. coalesces everything else that arrives within ``max_wait_ms`` into one
    micro-batch (a graph swap, a retire marker or ``stop()`` closes it
-   early; behind a :class:`repro.serving.ShardRouter` the router's slot
-   pool bounds it),
+   early; the :class:`repro.serving.ShardRouter` that owns the engine
+   bounds it with its slot pool),
 3. groups the batch by graph fingerprint, runs **one** forward per distinct
    graph (preprocess served from the shared :class:`OperatorCache`),
 4. fans the logit rows back out to each request's ticket.
@@ -33,8 +33,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from ..models.base import NodeClassifier
 from ..obs.histogram import HistogramStats, LatencyHistogram
 from ..obs.spans import RequestTrace, TraceBuffer
 from ..obs.stats import Stats, StatsSource
-from .artifacts import ModelArtifact, restore_model
 from .cache import CacheStats, LRUCache, OperatorCache
 
 #: queue sentinel telling the worker thread to exit.
@@ -291,7 +289,9 @@ class InferenceServer(StatsSource):
 
     The model is owned by the single worker thread (the autograd modules are
     not thread-safe); client threads only touch the queue and their tickets.
-    Use as a context manager, or call :meth:`start` / :meth:`stop`.
+    :meth:`repro.serving.ShardRouter.add_shard` builds one engine per
+    shard, starts and stops it with the router, and submits through the
+    router's slot pool.
     """
 
     def __init__(
@@ -343,26 +343,6 @@ class InferenceServer(StatsSource):
         # request traces for debugging tail latencies.
         self._latency = LatencyHistogram()
         self._trace_log = TraceBuffer()
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_artifact(
-        cls,
-        directory: Union[str, Path],
-        graph: Optional[DirectedGraph] = None,
-        **server_kwargs,
-    ) -> Tuple["InferenceServer", ModelArtifact]:
-        """Load an artifact and build a server with a pre-warmed cache.
-
-        The preprocess performed while restoring the weights is seeded into
-        the operator cache, so the very first request is already warm.
-        """
-        model, cache, artifact, target = restore_model(directory, graph)
-        server = cls(model, target, **server_kwargs)
-        server.cache.seed(model, target, cache)
-        return server, artifact
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -421,22 +401,6 @@ class InferenceServer(StatsSource):
     # ------------------------------------------------------------------ #
     # Client API
     # ------------------------------------------------------------------ #
-    def warm(self, graph: Optional[DirectedGraph] = None) -> None:
-        """Populate the operator cache for ``graph`` (default: the bound one).
-
-        Must be called before :meth:`start`: preprocessing can mutate the
-        model (lazy module construction), and once the server is running the
-        model belongs exclusively to the worker thread.  A running server
-        warms lazily through the request path instead.
-        """
-        with self._lifecycle_lock:
-            if self._running:
-                raise RuntimeError(
-                    "warm() is only allowed before start(); a running server "
-                    "warms caches through the request path"
-                )
-            self.cache.preprocess(self.model, graph if graph is not None else self.graph)
-
     def swap_graph(
         self,
         delta: GraphDelta,
@@ -515,19 +479,6 @@ class InferenceServer(StatsSource):
                 raise RuntimeError("InferenceServer is not running; call start() first")
             self._queue.put(ticket)
         return ticket
-
-    def predict(
-        self,
-        node_ids: Optional[Sequence[int]] = None,
-        graph: Optional[DirectedGraph] = None,
-        timeout: Optional[float] = 60.0,
-    ) -> np.ndarray:
-        """Blocking convenience wrapper around :meth:`submit`.
-
-        ``timeout`` bounds the wait for the prediction; submitting never
-        waits.
-        """
-        return self.submit(node_ids, graph).result(timeout)
 
     def stats(self) -> ServerStats:
         with self._metrics_lock:

@@ -7,7 +7,7 @@ specialise by providing a route table (:meth:`BaseHttpServer._handlers`)
 and a ``/metrics`` payload; :class:`HttpServer` is the single-process
 front door over one in-process router, and
 :class:`repro.cluster.serve.ClusterHttpServer` reuses the same base over
-a pool of worker processes.
+a pool of worker processes.  Each door starts and stops what it serves.
 
 One :class:`HttpServer` exposes a registered router as:
 
@@ -52,7 +52,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..obs.prometheus import escape_label_value, render_prometheus
 from ..obs.stats import Stats, StatsSource
-from .engine import ServerOverloaded
+from .engine import InferenceTicket, ServerOverloaded
 from .router import ShardRouter, UnknownShard
 
 #: default bind address; loopback because nothing here authenticates.
@@ -64,8 +64,8 @@ DEFAULT_PORT = 8100
 #: default cap on a request body; /predict payloads are node-id lists.
 DEFAULT_MAX_BODY_BYTES = 1 << 20
 
-#: default bound on one /predict round trip through the router.
-DEFAULT_REQUEST_TIMEOUT = 60.0
+#: bound on one /predict round trip, and on a cluster door's pool calls.
+REQUEST_TIMEOUT = 60.0
 
 #: default bound on waiting for in-flight requests during shutdown.
 DEFAULT_DRAIN_TIMEOUT = 5.0
@@ -118,6 +118,23 @@ def parse_predict_body(body: bytes) -> Tuple[Optional[List[int]], Optional[str]]
     return node_ids, shard
 
 
+def predict_answer(shard: str, ticket: InferenceTicket) -> Dict[str, object]:
+    """The ``/predict`` answer for a successfully completed ticket.
+
+    Both front doors answer with it: :class:`HttpServer` directly, and
+    :mod:`repro.cluster.serve` through the worker, which adds its
+    ``worker`` id.  ``spans`` sum to ``total_ms``.
+    """
+    spans = ticket.spans()
+    return {
+        "shard": shard,
+        "predictions": ticket.result(timeout=0).tolist(),
+        "latency_ms": round(1e3 * (ticket.latency_seconds or 0.0), 4),
+        "spans": {stage: round(value, 4) for stage, value in spans.items()},
+        "total_ms": round(sum(spans.values()), 4),
+    }
+
+
 @dataclass
 class HttpStats(Stats):
     """Front-door HTTP counters.
@@ -139,9 +156,9 @@ class BaseHttpServer(StatsSource):
     Owns everything that is not application-specific: the daemon serving
     thread, socket lifecycle, request framing, per-route/status counters,
     and drain-on-shutdown.  A subclass provides :meth:`_handlers` — a
-    mapping of path → (method, async handler) — and (optionally) its own
-    :meth:`metrics_text`.  ``start()``/``stop()`` are safe to call from
-    synchronous code.
+    mapping of path → (method, async handler) — and its ``/metrics``
+    handler appends :meth:`_http_metrics_lines` to its own series.
+    ``start()``/``stop()`` are safe to call from synchronous code.
 
     ``stop()`` first closes the listener, then waits up to
     ``drain_timeout`` seconds for requests that are mid-handler to write
@@ -155,7 +172,6 @@ class BaseHttpServer(StatsSource):
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
     ) -> None:
         if max_body_bytes < 1:
@@ -165,7 +181,6 @@ class BaseHttpServer(StatsSource):
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
-        self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
         self._lock = threading.Lock()
         self._connections = 0
@@ -306,10 +321,6 @@ class BaseHttpServer(StatsSource):
                     f"repro_http_requests_total{{{labels}}} {stats.routes[route][status]}"
                 )
         return "\n".join(lines) + "\n"
-
-    def metrics_text(self) -> str:
-        """The ``/metrics`` payload; subclasses prepend their own series."""
-        return self._http_metrics_lines()
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -480,9 +491,9 @@ class HttpServer(BaseHttpServer):
     """Serve one in-process :class:`ShardRouter` over HTTP/1.1.
 
     Request handling awaits :meth:`ShardRouter.asubmit_ticket`, so slot
-    waits and inference never block the loop.  The router's lifecycle
-    stays the caller's (a stopped HTTP server leaves the router serving
-    in-process traffic).
+    waits and inference never block the loop.  The server owns the
+    router's lifecycle: :meth:`start` starts the router before binding,
+    and :meth:`stop` stops it after the drain.
     """
 
     def __init__(
@@ -492,24 +503,30 @@ class HttpServer(BaseHttpServer):
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
     ) -> None:
         super().__init__(
             host=host,
             port=port,
             max_body_bytes=max_body_bytes,
-            request_timeout=request_timeout,
             drain_timeout=drain_timeout,
         )
         self.router = router
 
-    def metrics_text(self) -> str:
-        """The ``/metrics`` payload: router snapshot + HTTP counters."""
-        return (
-            render_prometheus(self.router.snapshot(), prefix="repro_router")
-            + self._http_metrics_lines()
-        )
+    def start(self) -> "HttpServer":
+        self.router.start()
+        try:
+            super().start()
+        except BaseException:
+            self.router.stop()
+            raise
+        return self
+
+    def stop(self, timeout: Optional[float] = 10.0) -> None:
+        try:
+            super().stop(timeout)
+        finally:
+            self.router.stop()
 
     def _handlers(
         self,
@@ -549,7 +566,12 @@ class HttpServer(BaseHttpServer):
         return 200, snapshot
 
     async def _handle_metrics(self, *, query: str, body: bytes) -> Tuple[int, object]:
-        return 200, self.metrics_text()
+        """The router snapshot plus the HTTP counters, as Prometheus text."""
+        text = (
+            render_prometheus(self.router.snapshot(), prefix="repro_router")
+            + self._http_metrics_lines()
+        )
+        return 200, text
 
     async def _handle_traces(self, *, query: str, body: bytes) -> Tuple[int, object]:
         params = parse_qs(query)
@@ -579,24 +601,16 @@ class HttpServer(BaseHttpServer):
                 node_ids,
                 shard=info.name,
                 block=False,
-                timeout=self.request_timeout,
+                timeout=REQUEST_TIMEOUT,
             )
-            predictions = ticket.result(timeout=0)
+            ticket.result(timeout=0)  # re-raises the request's own failure
         except ServerOverloaded:
             return 429, {
                 "error": "router is at capacity; retry later",
                 "max_pending": self.router.max_pending,
             }
         except asyncio.TimeoutError:
-            return 500, {"error": f"request timed out after {self.request_timeout}s"}
+            return 500, {"error": f"request timed out after {REQUEST_TIMEOUT}s"}
         except (IndexError, ValueError, TypeError) as error:
             return 400, {"error": f"{type(error).__name__}: {error}"}
-
-        spans = ticket.spans()
-        return 200, {
-            "shard": info.name,
-            "predictions": predictions.tolist(),
-            "latency_ms": round(1e3 * (ticket.latency_seconds or 0.0), 4),
-            "spans": {stage: round(value, 4) for stage, value in spans.items()},
-            "total_ms": round(sum(spans.values()), 4),
-        }
+        return 200, predict_answer(info.name, ticket)

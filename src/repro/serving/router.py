@@ -1,11 +1,14 @@
-"""Multi-artifact shard routing: many engines behind one front door.
+"""Shard routing: the one in-process serving stack, for one model or many.
 
-One :class:`repro.serving.engine.InferenceServer` serves one loaded
-artifact.  :class:`ShardRouter` scales that to many: each registered shard
-binds a trained model to the graph it serves, requests are routed by
+:class:`ShardRouter` owns one :class:`repro.serving.engine.InferenceServer`
+per registered shard (:meth:`ShardRouter.add_shard` is the only place an
+engine is built, and the router starts and stops them).  Each shard binds
+a trained model to the graph it serves, requests are routed by
 fingerprinting their graph (or by explicit shard name), and a bounded
 front-door slot pool applies back-pressure across all shards.  That pool
 is the only admission bound: the engines behind it admit every request.
+:meth:`repro.api.Session.serve` builds a router from model handles and
+artifact directories.
 
 Two submission paths share that pool:
 
@@ -267,16 +270,6 @@ class ShardRouter(StatsSource):
         return self.add_shard(
             model, graph, name=name, artifact=artifact, preprocess_cache=cache
         )
-
-    @classmethod
-    def from_artifacts(
-        cls, directories: Sequence[PathLike], **router_kwargs
-    ) -> "ShardRouter":
-        """Build a router serving one shard per artifact directory."""
-        router = cls(**router_kwargs)
-        for directory in directories:
-            router.add_artifact(directory)
-        return router
 
     # ------------------------------------------------------------------ #
     # Introspection

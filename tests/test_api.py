@@ -10,6 +10,7 @@ import pytest
 from repro.api import AmudConfig, ModelHandle, ServeConfig, Session, TrainConfig, width_kwargs
 from repro.api.session import decision_to_dict, train_result_to_dict
 from repro.cli import main as cli_main
+from repro.models import create_model
 from repro.serving import ShardRouter, save_model
 from repro.training import Trainer
 
@@ -54,9 +55,13 @@ class TestConfigs:
 
     def test_serve_config_kwargs_cover_engine_and_router(self):
         config = ServeConfig(max_wait_ms=1.0, router_max_pending=4)
-        assert config.engine_kwargs()["max_wait_ms"] == 1.0
-        assert config.router_kwargs()["max_pending"] == 4
-        assert ShardRouter(**config.router_kwargs()).max_pending == 4
+        assert config.router_kwargs() == {"max_pending": 4, "max_wait_ms": 1.0}
+        router = ShardRouter(**config.router_kwargs())
+        assert router.max_pending == 4
+        # The router hands the window on to every engine it builds.
+        graph = Session().load("texas").graph
+        router.add_shard(create_model("MLP", graph, seed=0, hidden=8), graph)
+        assert router.shards()[0].engine.max_wait_seconds == 1.0 / 1000.0
 
     def test_width_kwargs_sgc_special_case(self):
         assert width_kwargs("SGC", 64) == {}
@@ -177,10 +182,15 @@ class TestArtifactRoundTrips:
         assert restored.decision.keep_directed == model.decision.keep_directed
 
     def test_serve_single_handle(self, tmp_path):
-        model = Session(train=QUICK).load("texas").fit("MLP", hidden=8)
+        session = Session(train=QUICK, serve=ServeConfig(router_max_pending=8))
+        model = session.load("texas").fit("MLP", hidden=8)
         expected = model.predict()
-        with model.serve() as server:
-            np.testing.assert_array_equal(server.predict(node_ids=[0, 1, 2]), expected[:3])
+        router = session.serve(model)
+        # One model serves through the same router as many, under the
+        # session's admission bound.
+        assert len(router) == 1 and router.max_pending == 8
+        with router:
+            np.testing.assert_array_equal(router.predict(node_ids=[0, 1, 2]), expected[:3])
 
 
 class TestCliArtifactErrors:

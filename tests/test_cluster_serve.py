@@ -60,10 +60,17 @@ class TestFrontDoor:
         )
         payload = json.loads(body)
         assert status == 200
+        # The single-process door's answer, plus the worker that served it.
+        assert set(payload) == {
+            "worker", "shard", "predictions", "latency_ms", "spans", "total_ms"
+        }
         assert payload["worker"] in {"w0", "w1"}
         assert payload["shard"] == "texas"
         np.testing.assert_array_equal(payload["predictions"], expected[:3])
         assert payload["latency_ms"] > 0
+        assert sum(payload["spans"].values()) == pytest.approx(
+            payload["total_ms"], abs=1e-2
+        )
 
     def test_load_balances_across_workers(self, stack):
         server, expected, _ = stack

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -70,6 +71,7 @@ class TestEndpoints:
         )
         payload = json.loads(body)
         assert status == 200
+        assert set(payload) == {"shard", "predictions", "latency_ms", "spans", "total_ms"}
         assert payload["shard"] == "texas"
         np.testing.assert_array_equal(payload["predictions"], expected["texas"][:3])
         assert payload["latency_ms"] > 0
@@ -328,6 +330,26 @@ class TestSessionAndCli:
             )
             assert status == 200
         assert not server.router._running
+
+    def test_http_server_stops_the_router_it_started(self):
+        graph = load_dataset("texas", seed=0)
+        router = ShardRouter()
+        router.add_shard(create_model("MLP", graph, seed=0, hidden=8), graph)
+        engine = router.shards()[0].engine
+        server = HttpServer(router, port=0)
+        with server:
+            assert router._running and engine._running
+            status, _ = request(server, "POST", "/predict", json.dumps({"node_ids": [0]}))
+            assert status == 200
+        assert not router._running and not engine._running
+        # A door that cannot bind leaves its router stopped too.
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            blocked = HttpServer(router, port=taken.getsockname()[1])
+            with pytest.raises(OSError):
+                blocked.start()
+        assert not router._running and not engine._running
 
     def test_serve_config_carries_http_settings(self, artifact):
         from repro.api import HttpConfig, ServeConfig, Session

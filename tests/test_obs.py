@@ -265,7 +265,7 @@ class TestEngineIntegration:
         server = InferenceServer(model, homophilous_graph, max_wait_ms=0.0)
         with server:
             for _ in range(5):
-                server.predict(node_ids=[0, 1])
+                server.submit(node_ids=[0, 1]).result(timeout=60)
             stats = server.stats()
             traces = server.recent_traces()
         return stats, traces

@@ -54,7 +54,7 @@ class SlowModel(NodeClassifier):
 
 class TestRouting:
     def test_three_artifacts_served_through_one_front_door(self, three_artifacts):
-        router = ShardRouter.from_artifacts([d for d, _, _ in three_artifacts])
+        router = Session().serve(*[d for d, _, _ in three_artifacts])
         assert len(router) == 3
         errors = []
 
@@ -94,7 +94,7 @@ class TestRouting:
 
     def test_unknown_graph_and_shard_rejected(self, three_artifacts):
         directory, graph, _ = three_artifacts[0]
-        router = ShardRouter.from_artifacts([directory])
+        router = Session().serve(directory)
         stranger = graph.with_(features=graph.features * 2.0)
         with router:
             with pytest.raises(UnknownShard, match="no shard serves"):
@@ -103,14 +103,14 @@ class TestRouting:
                 router.submit(node_ids=[0], shard="nope")
 
     def test_multi_shard_requires_routing_key(self, three_artifacts):
-        router = ShardRouter.from_artifacts([d for d, _, _ in three_artifacts])
+        router = Session().serve(*[d for d, _, _ in three_artifacts])
         with router:
             with pytest.raises(UnknownShard, match="pass graph= or shard="):
                 router.submit(node_ids=[0])
 
     def test_single_shard_routes_implicitly(self, three_artifacts):
         directory, _, expected = three_artifacts[0]
-        router = ShardRouter.from_artifacts([directory])
+        router = Session().serve(directory)
         with router:
             np.testing.assert_array_equal(
                 router.predict(node_ids=[0, 1]), expected[[0, 1]]
@@ -134,7 +134,7 @@ class TestRouting:
         assert router.add_artifact(first) == "shard-2"
 
     def test_shared_operator_cache_prewarmed(self, three_artifacts):
-        router = ShardRouter.from_artifacts([d for d, _, _ in three_artifacts])
+        router = Session().serve(*[d for d, _, _ in three_artifacts])
         # Each cold artifact restore fills the shared cache exactly once
         # (the restore itself runs through the cache and records the miss).
         loaded = router.operator_cache.stats()
@@ -165,7 +165,7 @@ class TestRouting:
 
 class TestAsyncFrontDoor:
     def test_asubmit_under_asyncio(self, three_artifacts):
-        router = ShardRouter.from_artifacts([d for d, _, _ in three_artifacts])
+        router = Session().serve(*[d for d, _, _ in three_artifacts])
 
         async def drive():
             tasks = [
@@ -185,7 +185,7 @@ class TestAsyncFrontDoor:
 
     def test_asubmit_propagates_request_errors(self, three_artifacts):
         directory, graph, _ = three_artifacts[0]
-        router = ShardRouter.from_artifacts([directory])
+        router = Session().serve(directory)
 
         async def bad_request():
             return await router.asubmit(node_ids=[graph.num_nodes + 99])
@@ -261,7 +261,9 @@ class TestBackPressure:
             model.release.set()
             result = ticket.result(timeout=30)
             # The worker survived and the ticket stayed completed.
-            np.testing.assert_array_equal(server.predict(node_ids=[0], timeout=30), result)
+            np.testing.assert_array_equal(
+                server.submit(node_ids=[0]).result(timeout=30), result
+            )
         # stop() joined the worker, so both callbacks have definitely fired.
         assert seen == [True]
         assert "boom" in capsys.readouterr().err
@@ -327,13 +329,14 @@ class TestWeightsVersionedLogitCache:
     def test_clear_logit_cache_revalidates_weights_version(self, tmp_path):
         session = Session(train=QUICK)
         model = session.load("texas").fit("MLP", hidden=8)
-        server = model.serve()
-        with server:
-            before = server.predict(timeout=30)
+        router = session.serve(model)
+        server = router.shards()[0].engine
+        with router:
+            before = router.predict(timeout=30)
             # Mutate weights in place — serving requires an explicit
             # clear_logit_cache() afterwards, which also rehashes the state.
             for parameter in server.model.parameters():
                 parameter.data[...] = 0.0
             server.clear_logit_cache()
-            after = server.predict(timeout=30)
+            after = router.predict(timeout=30)
         assert not np.array_equal(before, after) or model.graph.num_classes == 1

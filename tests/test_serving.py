@@ -8,15 +8,12 @@ from repro.models.mlp import MLPClassifier
 from repro.nn.layers import MLP
 from repro.api import Session, TrainConfig
 from repro.api.session import decision_to_dict, train_result_to_dict
+from repro.fingerprint import array_digest, graph_fingerprint, model_fingerprint
 from repro.serving import (
-    InferenceServer,
     LRUCache,
     OperatorCache,
-    array_digest,
-    graph_fingerprint,
     load_artifact,
     load_artifact_graph,
-    model_fingerprint,
     restore_model,
     save_model,
 )

@@ -65,18 +65,18 @@ class TestSwapGraph:
         mutated = graph.apply_delta(delta, validate=True)
         model = SGC(8, 3, num_steps=2)
         server = InferenceServer(model, graph, max_wait_ms=0.5)
-        server.warm()
+        server.cache.preprocess(model, graph)
         with server:
-            before = server.predict(timeout=10)
+            before = server.submit().result(timeout=10)
             swap = server.swap_graph(delta, timeout=10)
-            after = server.predict(timeout=10)
+            after = server.submit().result(timeout=10)
         assert swap.in_place is True  # SGC patches its propagation in place
         assert swap.old_fingerprint == graph.fingerprint()
         assert swap.new_fingerprint == mutated.fingerprint()
         reference = InferenceServer(SGC(8, 3, num_steps=2), mutated, max_wait_ms=0.5)
-        reference.warm()
+        reference.cache.preprocess(reference.model, mutated)
         with reference:
-            expected = reference.predict(timeout=10)
+            expected = reference.submit().result(timeout=10)
         assert np.array_equal(after, expected)
         assert before.shape == after.shape
 
@@ -85,11 +85,11 @@ class TestSwapGraph:
         other = build_graph(7, name="other")
         model = MLPClassifier(8, 3)
         server = InferenceServer(model, graph, max_wait_ms=0.5)
-        server.warm()
-        server.warm(other)
+        server.cache.preprocess(model, graph)
+        server.cache.preprocess(model, other)
         with server:
-            server.predict([0, 1], timeout=10)
-            server.predict([0], graph=other, timeout=10)
+            server.submit([0, 1]).result(timeout=10)
+            server.submit([0], graph=other).result(timeout=10)
             swap = server.swap_graph(GraphDelta(set_labels={0: 1}), timeout=10)
         assert swap.invalidated["operator"] == 1
         assert swap.invalidated["logits"] == 1
@@ -110,7 +110,7 @@ class TestSwapGraph:
         graph = build_graph(9)
         model = MLPClassifier(8, 3)
         server = InferenceServer(model, graph)
-        server.warm()
+        server.cache.preprocess(model, graph)
         swap = server.swap_graph(GraphDelta())
         assert swap.new_fingerprint == swap.old_fingerprint
         assert swap.invalidated == {}
@@ -132,7 +132,7 @@ class TestSwapGraph:
             with pytest.raises(ValueError, match="out of range"):
                 server.swap_graph(GraphDelta(add_edges=[[0, 10_000]]), timeout=10)
             # Server keeps serving after a rejected delta.
-            assert server.predict([0], timeout=10).shape == (1,)
+            assert server.submit([0]).result(timeout=10).shape == (1,)
 
 
 class TestExceptionFanOut:

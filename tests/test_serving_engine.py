@@ -6,11 +6,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import ServeConfig, Session
 from repro.cli import main
 from repro.graph import GraphDelta
 from repro.models import create_model
 from repro.models.base import NodeClassifier
-from repro.serving import InferenceServer, ShardRouter, restore_model, save_model
+from repro.serving import InferenceServer, restore_model, save_model
 from repro.training import Trainer
 
 
@@ -56,6 +57,12 @@ def _held_server(directory):
     gated = GatedModel(model)
     server = InferenceServer(gated, graph)
     return server, gated, model, graph
+
+
+def _served(directory, max_wait_ms=2.0):
+    """An un-started one-shard router over the artifact, and its engine."""
+    router = Session(serve=ServeConfig(max_wait_ms=max_wait_ms)).serve(directory)
+    return router, router.shards()[0].engine
 
 
 class TestInferenceServer:
@@ -108,80 +115,77 @@ class TestInferenceServer:
 
     def test_full_graph_request(self, trained_export):
         directory, graph, expected = trained_export
-        server, _ = InferenceServer.from_artifact(directory)
-        with server:
-            np.testing.assert_array_equal(server.predict(node_ids=None), expected)
+        router, _ = _served(directory)
+        with router:
+            np.testing.assert_array_equal(router.predict(node_ids=None), expected)
 
     def test_serves_alternate_graph_and_groups_by_fingerprint(self, trained_export):
         directory, graph, expected = trained_export
         other = graph.with_(features=graph.features * 1.5)
-        server, _ = InferenceServer.from_artifact(directory, max_wait_ms=5.0)
-        with server:
-            base = server.submit(node_ids=[0, 1])
-            alt = server.submit(node_ids=[0, 1], graph=other)
+        router, engine = _served(directory, max_wait_ms=5.0)
+        shard = router.shards()[0].name
+        with router:
+            base = router.submit(node_ids=[0, 1])
+            # A foreign graph routes by shard name; the engine groups the
+            # batch by fingerprint.
+            alt = router.submit(node_ids=[0, 1], graph=other, shard=shard)
             base.result(timeout=30)
             alt.result(timeout=30)
         # Two distinct graph fingerprints means two forwards even if the
         # requests shared one micro-batch.
-        assert server.stats().forwards == 2
+        assert engine.stats().forwards == 2
 
     def test_bad_node_ids_fail_only_their_ticket(self, trained_export):
         directory, graph, expected = trained_export
-        server, _ = InferenceServer.from_artifact(directory, max_wait_ms=5.0)
-        with server:
-            bad = server.submit(node_ids=[graph.num_nodes + 7])
-            good = server.submit(node_ids=[0])
+        router, _ = _served(directory, max_wait_ms=5.0)
+        with router:
+            bad = router.submit(node_ids=[graph.num_nodes + 7])
+            good = router.submit(node_ids=[0])
             with pytest.raises(IndexError):
                 bad.result(timeout=30)
             np.testing.assert_array_equal(good.result(timeout=30), expected[[0]])
 
     def test_submit_requires_running_server(self, trained_export):
         directory, _, _ = trained_export
-        server, _ = InferenceServer.from_artifact(directory)
+        router, engine = _served(directory)
         with pytest.raises(RuntimeError, match="not running"):
-            server.submit(node_ids=[0])
+            engine.submit(node_ids=[0])
+        with pytest.raises(RuntimeError, match="not running"):
+            router.submit(node_ids=[0])
 
     def test_negative_node_ids_rejected_at_submit(self, trained_export):
         directory, _, _ = trained_export
-        server, _ = InferenceServer.from_artifact(directory)
-        router = ShardRouter.from_artifacts([directory])
+        router, engine = _served(directory)
         rejected = {
             "non-negative": [0, -3],
             "dtype float64": [1.7, 2.9],
             "dtype bool": [True, False],
             r"shape \(2, 2\)": [[0, 1], [2, 3]],
         }
-        with server, router:
+        with router:
             for match, node_ids in rejected.items():
                 with pytest.raises(ValueError, match=match):
-                    server.submit(node_ids=node_ids)
+                    engine.submit(node_ids=node_ids)
                 with pytest.raises(ValueError, match=match):
                     router.predict(node_ids=node_ids)
             # numpy types an empty list float64; it is still a valid request.
-            assert server.predict(node_ids=[]).shape == (0,)
-
-    def test_warm_only_before_start(self, trained_export):
-        directory, graph, _ = trained_export
-        server, _ = InferenceServer.from_artifact(directory)
-        server.warm()  # allowed while stopped
-        with server:
-            with pytest.raises(RuntimeError, match="before start"):
-                server.warm()
+            assert router.predict(node_ids=[]).shape == (0,)
 
     def test_logit_cache_skips_forwards(self, trained_export):
         directory, _, _ = trained_export
-        server, _ = InferenceServer.from_artifact(directory, max_wait_ms=0.0)
-        with server:
+        router, engine = _served(directory, max_wait_ms=0.0)
+        loaded = engine.cache.stats()
+        with router:
             for _ in range(5):
-                server.predict(node_ids=[0])
-        stats = server.stats()
+                router.predict(node_ids=[0])
+        stats = engine.stats()
         assert stats.batches == 5 and stats.forwards == 1
-        # The one forward read the preprocess seeded at restore.
-        assert stats.cache.misses == 0
+        # The one forward read the preprocess the restore cached.
+        assert loaded.misses == 1 and stats.cache.misses == loaded.misses
 
     def test_concurrent_clients_under_load(self, trained_export):
         directory, graph, expected = trained_export
-        server, _ = InferenceServer.from_artifact(directory, max_wait_ms=2.0)
+        router, engine = _served(directory, max_wait_ms=2.0)
         errors = []
 
         def client(seed: int) -> None:
@@ -189,19 +193,19 @@ class TestInferenceServer:
             try:
                 for _ in range(10):
                     ids = rng.choice(graph.num_nodes, size=4, replace=False)
-                    result = server.predict(node_ids=ids, timeout=60)
+                    result = router.predict(node_ids=ids, timeout=60)
                     np.testing.assert_array_equal(result, expected[ids])
             except Exception as error:  # surfaced after join
                 errors.append(error)
 
-        with server:
+        with router:
             threads = [threading.Thread(target=client, args=(s,)) for s in range(6)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
         assert not errors
-        assert server.stats().requests == 60
+        assert engine.stats().requests == 60
 
 
 class TestServingCli:
