@@ -64,14 +64,20 @@ def main(dataset_names: list) -> None:
                 assert np.array_equal(predictions, expected[model.graph.name][ids])
 
             # Async path: many concurrent requests through the same door.
+            # Each submits on the event loop (a full router would raise
+            # ServerOverloaded at once) and awaits its completed ticket.
             async def drive() -> int:
                 tasks = [
-                    router.asubmit(node_ids=[i % model.graph.num_nodes], graph=model.graph)
+                    router.asubmit_ticket(
+                        node_ids=[i % model.graph.num_nodes], graph=model.graph
+                    )
                     for model in handles
                     for i in range(16)
                 ]
-                results = await asyncio.gather(*tasks)
-                return len(results)
+                tickets = await asyncio.gather(*tasks)
+                for ticket in tickets:
+                    ticket.result(timeout=0)  # raises the request's failure, if any
+                return len(tickets)
 
             completed = asyncio.run(drive())
             stats = router.stats()

@@ -186,7 +186,8 @@ class ServeConfig:
 
     max_wait_ms: float = 2.0
     #: cap on in-flight requests across all shards of one router: the only
-    #: admission bound (the HTTP front doors answer overflow with 429).
+    #: admission bound.  It never waits: overflow raises ServerOverloaded
+    #: in process and the HTTP front doors answer it with 429.
     router_max_pending: int = 256
 
     def __post_init__(self) -> None:

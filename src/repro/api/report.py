@@ -258,9 +258,6 @@ class SweepReport:
                 return cell
         raise KeyError(f"no cell for model={model!r} dataset={dataset!r} variant={variant!r}")
 
-    def as_rows(self) -> List[Dict[str, object]]:
-        return [cell.as_row() for cell in self.cells]
-
     def run_rows(self) -> List[Dict[str, object]]:
         """Every individual run as a flat row (seed-level detail)."""
         return [run.as_row() for cell in self.cells for run in cell.runs]

@@ -213,7 +213,8 @@ class Session:
         The one way to serve in-process, for one model or many.  The
         router is returned un-started; use it as a context manager (or
         call ``start()``/``stop()``).  Its slot pool,
-        ``config.router_max_pending``, bounds admission.  All shards share
+        ``config.router_max_pending``, bounds admission without waiting: a
+        request past it raises ``ServerOverloaded``.  All shards share
         one operator cache and one weights-versioned logit cache.
         ``cache_dir`` warms both from a
         :meth:`repro.serving.ShardRouter.spill` directory *before* the

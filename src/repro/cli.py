@@ -488,7 +488,6 @@ def _serve_cluster(args: argparse.Namespace) -> int:
             "first failure above names the culprit",
             file=sys.stderr,
         )
-        server.pool.stop()
         return EXIT_ARTIFACT_ERROR
     try:
         print(
@@ -665,7 +664,6 @@ def _run_experiment_distributed(args: argparse.Namespace, spec: SweepSpec) -> in
     except (WorkerError, TimeoutError, OSError) as error:
         reason = str(error) or type(error).__name__
         print(f"error: cluster workers failed to start: {reason}", file=sys.stderr)
-        pool.stop()
         return EXIT_ARTIFACT_ERROR
     try:
         report = run_sweep_on_pool(pool, spec, shard_count, canonical=args.canonical)

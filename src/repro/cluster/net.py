@@ -136,7 +136,8 @@ class PipeTransport(Transport):
 
     Owns the :class:`subprocess.Popen`: ``close`` is a SIGKILL (the pool's
     way of reclaiming a wedged single-threaded worker) and ``wait_closed``
-    reaps the exit status so restarts never stack zombies.
+    reaps the exit status, so restarts never stack zombies, and then
+    closes both pipe ends (a reader still in ``readline`` sees EOF).
     """
 
     kind = "pipe"
@@ -187,9 +188,12 @@ class PipeTransport(Transport):
     def wait_closed(self, timeout: float) -> bool:
         try:
             self.process.wait(timeout=timeout)
-            return True
         except subprocess.TimeoutExpired:
             return False
+        for pipe in (self.process.stdin, self.process.stdout):
+            if pipe is not None:
+                pipe.close()
+        return True
 
     def describe(self) -> Dict[str, object]:
         return {

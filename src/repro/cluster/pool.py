@@ -53,7 +53,6 @@ from ..obs.stats import Stats, StatsSource
 from .net import (
     CONNECT_PLACEHOLDER,
     PipeTransport,
-    TcpTransport,
     Transport,
     TransportClosed,
     WorkerListener,
@@ -284,9 +283,11 @@ class _Worker:
                 future.result(timeout=timeout)
             except (WorkerError, FutureTimeout, OSError):
                 pass
-            if not transport.wait_closed(timeout):
-                transport.close()
-                transport.wait_closed(timeout)
+        # Also for a worker that already exited (a retired slot): waiting
+        # is what releases its pipes.
+        if not transport.wait_closed(timeout):
+            transport.close()
+            transport.wait_closed(timeout)
 
     # ------------------------------------------------------------------ #
     # I/O
@@ -370,19 +371,16 @@ class _Worker:
             pending = len(self.pending)
         entry: Dict[str, object] = {
             "name": self.name,
-            "pid": transport.pid if transport is not None else None,
-            "alive": transport.is_open() if transport is not None else False,
             "healthy": self.healthy,
             "retired": self.retired,
             "restarts": self.restarts,
             "tasks_done": self.tasks_done,
             "pending": pending,
-            "transport": transport.kind if transport is not None else self.launcher.kind,
         }
-        if isinstance(transport, TcpTransport):
-            entry["peer"] = transport.peer
-            entry["host"] = transport.host
-            entry["worker_id"] = transport.info.get("worker_id")
+        if transport is None:
+            entry.update(transport=self.launcher.kind, pid=None, alive=False)
+        else:
+            entry.update(transport.describe())
         return entry
 
 
@@ -397,9 +395,9 @@ class WorkerPool(StatsSource):
     is a context manager; ``stop()`` shuts workers down politely and
     kills stragglers.
 
-    With ``listen="HOST:PORT"`` and a shared ``secret``, ``remote`` of the
-    ``count`` slots (default: all of them, or ``len(spawn_commands)``)
-    are filled by connect-back TCP workers instead of local forks; the
+    With ``listen="HOST:PORT"`` and a shared ``secret``, one slot per
+    ``spawn_commands`` entry (without them, all ``count`` slots) is filled
+    by a connect-back TCP worker instead of a local fork; the
     resolved listener address is :attr:`listen_address` (useful with port
     ``0``).  Remote workers spill/warm their caches in per-host warm dirs
     — the pool never assumes a shared cache directory across machines.
@@ -416,7 +414,6 @@ class WorkerPool(StatsSource):
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         listen: Optional[str] = None,
         secret: Optional[str] = None,
-        remote: Optional[int] = None,
         spawn_commands: Optional[Sequence[Sequence[str]]] = None,
         register_timeout: float = DEFAULT_REGISTER_TIMEOUT,
     ) -> None:
@@ -443,8 +440,6 @@ class WorkerPool(StatsSource):
         if listen is None:
             if secret is not None:
                 raise ValueError("secret= only makes sense with listen=")
-            if remote:
-                raise ValueError("remote worker slots require listen=")
             if spawn_commands:
                 raise ValueError("spawn_commands require listen=")
             self.listener: Optional[WorkerListener] = None
@@ -455,18 +450,10 @@ class WorkerPool(StatsSource):
                     "listen= requires a shared secret (secret=...) so only "
                     "handshake-verified workers can register"
                 )
-            if remote is None:
-                remote_count = len(spawn_commands) if spawn_commands else count
-            else:
-                remote_count = int(remote)
-            if not 1 <= remote_count <= count:
+            remote_count = len(spawn_commands) if spawn_commands else count
+            if remote_count > count:
                 raise ValueError(
-                    f"remote worker slots must be in 1..{count}, got {remote_count}"
-                )
-            if spawn_commands and len(spawn_commands) != remote_count:
-                raise ValueError(
-                    f"got {len(spawn_commands)} spawn_commands for "
-                    f"{remote_count} remote slot(s)"
+                    f"got {len(spawn_commands)} spawn_commands for {count} slot(s)"
                 )
             self.listener = WorkerListener(listen, secret=secret)
         self.listen_address = self.listener.address if self.listener else None
@@ -518,6 +505,7 @@ class WorkerPool(StatsSource):
                     worker.transport.wait_closed(5.0)  # reap: no zombies
             if self.listener is not None:
                 self.listener.stop()
+            self._started = False  # as stop() leaves it: start() may retry
             raise
         self._heartbeat_wake.clear()
         self._heartbeat_thread = threading.Thread(

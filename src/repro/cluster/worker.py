@@ -180,7 +180,7 @@ def _op_predict(state: _State, args: Dict[str, Any]) -> Dict[str, Any]:
     shard = args.get("shard")
     timeout = float(args.get("timeout", 60.0))
     info = router.resolve(shard=shard)
-    ticket = router.submit(node_ids, shard=info.name, timeout=timeout)
+    ticket = router.submit(node_ids, shard=info.name)
     ticket.result(timeout=timeout)
     return {"worker": state.worker_id, **predict_answer(info.name, ticket)}
 

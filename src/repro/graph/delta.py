@@ -132,17 +132,6 @@ class GraphDelta:
             and not self.set_masks
         )
 
-    def edge_rows(self) -> np.ndarray:
-        """Sorted unique source rows whose adjacency row this delta edits."""
-        rows = [
-            edges[:, 0]
-            for edges in (self.add_edges, self.remove_edges)
-            if edges is not None
-        ]
-        if not rows:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(rows))
-
     def edge_endpoints(self) -> np.ndarray:
         """Sorted unique node ids appearing as either endpoint of an edge edit."""
         nodes = [

@@ -124,19 +124,6 @@ class HistogramStats(Stats):
     def p99_ms(self) -> float:
         return self.quantile(0.99)
 
-    def cumulative_buckets(self) -> Tuple[Tuple[float, int], ...]:
-        """Prometheus-style ``(le_bound_ms, cumulative_count)`` pairs.
-
-        The final pair carries ``math.inf`` and always equals ``count``.
-        """
-        pairs = []
-        running = 0
-        for index, bucket_count in enumerate(self.counts):
-            running += bucket_count
-            bound = BUCKET_BOUNDS_MS[index] if index < len(BUCKET_BOUNDS_MS) else math.inf
-            pairs.append((bound, running))
-        return tuple(pairs)
-
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "HistogramStats":
         """Rebuild a snapshot from its :meth:`as_dict` form.

@@ -12,7 +12,8 @@ operator and logit caches (:meth:`repro.api.Session.serve` builds it):
 * :mod:`repro.serving.engine` — the micro-batching :class:`InferenceServer`
   a router builds for each shard;
 * :mod:`repro.serving.router` — the :class:`ShardRouter` front door, one
-  shard or many, with sync ``submit`` and asyncio ``asubmit``;
+  shard or many, whose ``submit`` (and asyncio ``asubmit_ticket``) admits
+  or sheds with :class:`ServerOverloaded` and never waits;
 * :mod:`repro.serving.http` — the stdlib-asyncio :class:`HttpServer`
   that starts, exposes over HTTP (``/predict``, ``/stats``, ``/metrics``,
   ``/traces``, with 429 load shedding) and stops one router.

@@ -49,9 +49,6 @@ from .cache import CacheStats, LRUCache, OperatorCache
 #: queue sentinel telling the worker thread to exit.
 _STOP = object()
 
-#: capacity of an engine's logit LRU, and of the one a router shares.
-DEFAULT_LOGIT_CAPACITY = 32
-
 
 class ServerOverloaded(RuntimeError):
     """Raised when the :class:`repro.serving.ShardRouter` slot pool is full.
@@ -200,8 +197,8 @@ class InferenceTicket:
             try:
                 callback(self)
             except Exception:
-                # A broken callback (e.g. an asubmit resolving into a closed
-                # event loop) must not corrupt the ticket, skip later
+                # A broken callback (e.g. an asubmit_ticket resolving into a
+                # closed event loop) must not corrupt the ticket, skip later
                 # callbacks, or take down the worker thread.
                 traceback.print_exc()
 
@@ -213,7 +210,8 @@ class InferenceTicket:
         be quick.  A raising callback is printed and swallowed — completion
         is final and later callbacks still run.  The
         :class:`repro.serving.ShardRouter` uses this to release its
-        back-pressure slot, and ``asubmit`` to resolve asyncio futures.
+        back-pressure slot, and ``asubmit_ticket`` to resolve asyncio
+        futures.
         """
         with self._callback_lock:
             if not self._done.is_set():
@@ -290,8 +288,9 @@ class InferenceServer(StatsSource):
     The model is owned by the single worker thread (the autograd modules are
     not thread-safe); client threads only touch the queue and their tickets.
     :meth:`repro.serving.ShardRouter.add_shard` builds one engine per
-    shard, starts and stops it with the router, and submits through the
-    router's slot pool.
+    shard, hands it the router's shared operator and logit caches, starts
+    and stops it with the router, and submits through the router's slot
+    pool.
     """
 
     def __init__(
@@ -299,24 +298,22 @@ class InferenceServer(StatsSource):
         model: NodeClassifier,
         graph: DirectedGraph,
         *,
-        operator_cache: Optional[OperatorCache] = None,
+        operator_cache: OperatorCache,
+        logit_cache: LRUCache,
         max_wait_ms: float = 2.0,
-        logit_cache: Optional[LRUCache] = None,
     ) -> None:
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.model = model.eval()
         self.graph = graph
-        self.cache = operator_cache if operator_cache is not None else OperatorCache()
+        self.cache = operator_cache
         # Serving assumes frozen weights, so full-graph eval logits are a
         # pure function of (weights version, graph fingerprint) and can be
         # memoised; call :meth:`clear_logit_cache` if the model's parameters
-        # are mutated.  The cache may be shared between servers (the
-        # ShardRouter does) — the weights-version key field keeps entries of
+        # are mutated.  The cache is shared between the servers of one
+        # router — the weights-version key field keeps entries of
         # side-by-side hot-swapped artifacts apart.
-        self._logit_cache = (
-            logit_cache if logit_cache is not None else LRUCache(DEFAULT_LOGIT_CAPACITY)
-        )
+        self._logit_cache = logit_cache
         # The (signature, weights-version) cache-key prefix is computed
         # lazily by the worker *after* the first preprocess, so lazily-built
         # modules (ADPA's attention) exist before their weights are hashed
@@ -401,13 +398,7 @@ class InferenceServer(StatsSource):
     # ------------------------------------------------------------------ #
     # Client API
     # ------------------------------------------------------------------ #
-    def swap_graph(
-        self,
-        delta: GraphDelta,
-        *,
-        block: bool = True,
-        timeout: Optional[float] = 30.0,
-    ) -> GraphSwapTicket:
+    def swap_graph(self, delta: GraphDelta) -> GraphSwapTicket:
         """Apply a live :class:`GraphDelta` to the bound graph.
 
         On a running server the swap is a control message on the request
@@ -422,19 +413,17 @@ class InferenceServer(StatsSource):
         the still-warm cache — nobody repays a preprocess of a retired
         graph.  On a stopped server the swap applies inline.
 
-        ``block=True`` (default) waits for completion and re-raises any
-        failure; do not block from the worker thread itself (done
+        Returns the :class:`GraphSwapTicket` without waiting;
+        ``swap.result(timeout)`` waits for completion and re-raises any
+        failure.  Do not wait from the worker thread itself (done
         callbacks), it would deadlock.
         """
         swap = GraphSwapTicket(delta)
         with self._lifecycle_lock:
-            running = self._running
-            if running:
+            if self._running:
                 self._queue.put(swap)
             else:
                 self._apply_swap(swap)
-        if running and block:
-            swap.result(timeout)
         return swap
 
     def clear_logit_cache(self) -> None:
@@ -522,8 +511,9 @@ class InferenceServer(StatsSource):
         preprocess of a graph we just stopped serving.  Instead a
         :class:`_RetireMarker` is enqueued; the old entries retire when it
         drains, after every old-graph ticket has been answered from the
-        still-warm cache.  The swap ticket completes at the marker, so
-        ``block=True`` callers still return with invalidation finished.
+        still-warm cache.  The swap ticket completes at the marker, so a
+        caller waiting on :meth:`GraphSwapTicket.result` still returns with
+        invalidation finished.
         """
         old_graph = self.graph
         try:

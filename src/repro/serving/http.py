@@ -490,10 +490,12 @@ class BaseHttpServer(StatsSource):
 class HttpServer(BaseHttpServer):
     """Serve one in-process :class:`ShardRouter` over HTTP/1.1.
 
-    Request handling awaits :meth:`ShardRouter.asubmit_ticket`, so slot
-    waits and inference never block the loop.  The server owns the
-    router's lifecycle: :meth:`start` starts the router before binding,
-    and :meth:`stop` stops it after the drain.
+    Request handling submits on the event loop through
+    :meth:`ShardRouter.asubmit_ticket`: admission never waits (a full
+    router answers 429) and inference runs on the engines' threads, so
+    nothing blocks the loop.  The server owns the router's lifecycle:
+    :meth:`start` starts the router before binding, and :meth:`stop`
+    stops it after the drain.
     """
 
     def __init__(
@@ -598,10 +600,7 @@ class HttpServer(BaseHttpServer):
 
         try:
             ticket = await self.router.asubmit_ticket(
-                node_ids,
-                shard=info.name,
-                block=False,
-                timeout=REQUEST_TIMEOUT,
+                node_ids, shard=info.name, timeout=REQUEST_TIMEOUT
             )
             ticket.result(timeout=0)  # re-raises the request's own failure
         except ServerOverloaded:

@@ -10,17 +10,19 @@ is the only admission bound: the engines behind it admit every request.
 :meth:`repro.api.Session.serve` builds a router from model handles and
 artifact directories.
 
-Two submission paths share that pool:
+Admission never waits.  A request takes a slot, held until its ticket
+completes, or raises :class:`repro.serving.engine.ServerOverloaded` at
+once when ``max_pending`` requests are in flight (the HTTP door answers
+429).  A ticket's ``result(timeout)`` is the stack's one wait.  Two entry
+points share the pool:
 
 ``submit()``
-    Synchronous; blocks while the router is at capacity (or raises
-    :class:`repro.serving.engine.ServerOverloaded` with ``block=False``)
-    and returns the engine's :class:`InferenceTicket`.
+    Synchronous; returns the engine's :class:`InferenceTicket`.
 
-``asubmit()``
-    A coroutine for asyncio front-ends; slot acquisition runs in a thread
-    so the event loop never blocks, and the ticket resolves into an asyncio
-    future completed from the worker thread.
+``asubmit_ticket()``
+    A coroutine for asyncio front ends: it calls ``submit()`` on the event
+    loop, which never blocks, and resolves to the completed ticket through
+    the ticket's done callback.
 
 All shards share one :class:`OperatorCache` and one logit LRU.  The logit
 entries are keyed by (model signature, weights version, graph fingerprint),
@@ -33,9 +35,7 @@ fresh process starts with the preprocess and the forward already paid.
 from __future__ import annotations
 
 import asyncio
-import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -50,7 +50,6 @@ from ..obs.stats import Stats, StatsSource
 from .artifacts import ModelArtifact, restore_model
 from .cache import LRUCache, OperatorCache
 from .engine import (
-    DEFAULT_LOGIT_CAPACITY,
     GraphSwapTicket,
     InferenceServer,
     InferenceTicket,
@@ -62,6 +61,9 @@ PathLike = Union[str, Path]
 
 #: default cap on in-flight requests across every shard of one router.
 DEFAULT_MAX_PENDING = 256
+
+#: capacity of the logit LRU a router shares across its shards.
+DEFAULT_LOGIT_CAPACITY = 32
 
 
 class UnknownShard(KeyError):
@@ -146,10 +148,6 @@ class ShardRouter(StatsSource):
         self._running = False
         self._submitted = 0
         self._rejected = 0
-        # Lazily-built pool for asubmit's blocking slot waits; owning it
-        # (instead of borrowing asyncio's default executor) keeps a
-        # saturated router from starving unrelated run_in_executor work.
-        self._submit_executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------ #
     # Shard registration
@@ -169,8 +167,8 @@ class ShardRouter(StatsSource):
             model,
             graph,
             operator_cache=self._operator_cache,
-            max_wait_ms=self.max_wait_ms,
             logit_cache=self._logit_cache,
+            max_wait_ms=self.max_wait_ms,
         )
         with self._lock:
             if name is None:
@@ -222,7 +220,8 @@ class ShardRouter(StatsSource):
         route: requests resolve either the old fingerprint (answered with
         pre-delta state) or the new one, never an error.  Only cache
         entries keyed by the touched graph's old fingerprint drop;
-        untouched shards stay warm.  Returns the completed
+        untouched shards stay warm.  Waits up to ``timeout`` seconds for
+        the swap, re-raises its failure, and returns the completed
         :class:`GraphSwapTicket`.
         """
         with self._lock:
@@ -231,8 +230,8 @@ class ShardRouter(StatsSource):
             raise UnknownShard(
                 f"unknown shard {name!r}; registered: {sorted(self._shards)}"
             )
-        swap = info.engine.swap_graph(delta, block=True, timeout=timeout)
-        new_graph = swap.result(timeout=0)  # re-raise engine-side failures
+        swap = info.engine.swap_graph(delta)
+        new_graph = swap.result(timeout)  # re-raises engine-side failures
         new_fingerprint = new_graph.fingerprint()
         with self._lock:
             old_fingerprint = info.fingerprint
@@ -360,11 +359,8 @@ class ShardRouter(StatsSource):
         with self._lock:
             self._running = False
             engines = [info.engine for info in self._shards.values()]
-            executor, self._submit_executor = self._submit_executor, None
         for engine in engines:
             engine.stop(timeout)
-        if executor is not None:
-            executor.shutdown(wait=False)
 
     def __enter__(self) -> "ShardRouter":
         return self.start()
@@ -375,7 +371,14 @@ class ShardRouter(StatsSource):
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    def _resolve(self, graph: Optional[DirectedGraph], shard: Optional[str]) -> ShardInfo:
+    def resolve(
+        self, graph: Optional[DirectedGraph] = None, shard: Optional[str] = None
+    ) -> ShardInfo:
+        """Apply the routing rules without submitting anything.
+
+        Front-ends use this to validate a request's target — raising
+        :class:`UnknownShard` with the full routing diagnostics — before
+        paying for a slot."""
         with self._lock:
             if not self._shards:
                 raise UnknownShard("router has no shards; add_shard()/add_artifact() first")
@@ -406,16 +409,6 @@ class ShardRouter(StatsSource):
                 f"router serves {len(self._shards)} shards; pass graph= or shard= to route"
             )
 
-    def resolve(
-        self, graph: Optional[DirectedGraph] = None, shard: Optional[str] = None
-    ) -> ShardInfo:
-        """Apply the routing rules without submitting anything.
-
-        Front-ends use this to validate a request's target — raising
-        :class:`UnknownShard` with the full routing diagnostics — before
-        paying for a slot."""
-        return self._resolve(graph, shard)
-
     # ------------------------------------------------------------------ #
     # Front door
     # ------------------------------------------------------------------ #
@@ -425,19 +418,16 @@ class ShardRouter(StatsSource):
         graph: Optional[DirectedGraph] = None,
         *,
         shard: Optional[str] = None,
-        block: bool = True,
-        timeout: Optional[float] = None,
     ) -> InferenceTicket:
         """Route one request and return the owning engine's ticket.
 
-        A front-door slot is held from submission until the ticket
-        completes.  The slot pool is the only admission bound: at
-        ``max_pending`` in-flight requests further submits wait for a slot
-        (``block=True``, for at most ``timeout`` seconds) or raise
-        :class:`ServerOverloaded`.
+        Never waits: the request takes a front-door slot, held until its
+        ticket completes, or raises :class:`ServerOverloaded` when
+        ``max_pending`` requests are in flight.  The slot pool is the only
+        admission bound, and ``ticket.result(timeout)`` the only wait.
         """
-        info = self._resolve(graph, shard)
-        if not self._slots.acquire(blocking=block, timeout=timeout if block else None):
+        info = self.resolve(graph, shard)
+        if not self._slots.acquire(blocking=False):
             with self._lock:
                 # Only capacity rejections count here — engine-side
                 # validation errors below are the client's problem, not an
@@ -466,11 +456,10 @@ class ShardRouter(StatsSource):
     ) -> np.ndarray:
         """Blocking convenience wrapper around :meth:`submit`.
 
-        ``timeout`` bounds each phase separately: the wait for a front-door
-        slot, the only admission wait (:class:`ServerOverloaded` on
-        expiry), and then the wait for the prediction itself.
+        A full router raises :class:`ServerOverloaded` at once; ``timeout``
+        bounds the wait for the prediction.
         """
-        return self.submit(node_ids, graph, shard=shard, timeout=timeout).result(timeout)
+        return self.submit(node_ids, graph, shard=shard).result(timeout)
 
     async def asubmit_ticket(
         self,
@@ -478,31 +467,21 @@ class ShardRouter(StatsSource):
         graph: Optional[DirectedGraph] = None,
         *,
         shard: Optional[str] = None,
-        block: bool = True,
         timeout: Optional[float] = None,
     ) -> InferenceTicket:
         """Async submit resolving to the *completed* ticket.
 
-        The HTTP front door uses this instead of :meth:`asubmit` because the
-        ticket carries more than the predictions: the trace spans and
-        latency that go into the response payload.  The returned ticket is
-        already done — ``ticket.result(timeout=0)`` never blocks (it raises
-        the request's failure, if any).  ``block=False`` makes a saturated
-        front door raise :class:`ServerOverloaded` immediately, which the
-        HTTP layer maps to 429.
+        :meth:`submit` never waits, so it runs on the event loop itself: a
+        full router raises :class:`ServerOverloaded` at once, which the
+        HTTP layer maps to 429.  ``timeout`` bounds only the wait for the
+        ticket (``asyncio.TimeoutError`` on expiry).  The HTTP front door
+        awaits this because the ticket carries more than the predictions:
+        the trace spans and latency that go into the response payload.
+        The returned ticket is done — ``ticket.result(timeout=0)`` never
+        blocks (it raises the request's failure, if any).
         """
         loop = asyncio.get_running_loop()
-        submit = functools.partial(
-            self.submit, node_ids, graph, shard=shard, block=block, timeout=timeout
-        )
-        with self._lock:
-            if self._submit_executor is None:
-                self._submit_executor = ThreadPoolExecutor(
-                    max_workers=min(32, self.max_pending),
-                    thread_name_prefix="shard-router-submit",
-                )
-            executor = self._submit_executor
-        ticket = await loop.run_in_executor(executor, submit)
+        ticket = self.submit(node_ids, graph, shard=shard)
         future: "asyncio.Future[InferenceTicket]" = loop.create_future()
 
         def resolve(completed: InferenceTicket) -> None:
@@ -513,32 +492,4 @@ class ShardRouter(StatsSource):
             loop.call_soon_threadsafe(apply)
 
         ticket.add_done_callback(resolve)
-        if timeout is not None:
-            return await asyncio.wait_for(future, timeout)
-        return await future
-
-    async def asubmit(
-        self,
-        node_ids: Optional[Sequence[int]] = None,
-        graph: Optional[DirectedGraph] = None,
-        *,
-        shard: Optional[str] = None,
-        block: bool = True,
-        timeout: Optional[float] = None,
-    ) -> np.ndarray:
-        """Async front door: await the routed request's predictions.
-
-        Back-pressure is preserved — the slot acquisition of :meth:`submit`
-        runs in a pool owned by this router (never asyncio's shared default
-        executor), so a saturated router suspends this coroutine without
-        blocking the event loop or starving other ``run_in_executor`` users,
-        and the slot is held until the prediction resolves.  ``timeout``
-        bounds each phase separately: a saturated front door raises
-        :class:`ServerOverloaded` after ``timeout`` seconds (immediately
-        with ``block=False``), and a routed request that misses its deadline
-        raises ``asyncio.TimeoutError``.
-        """
-        ticket = await self.asubmit_ticket(
-            node_ids, graph, shard=shard, block=block, timeout=timeout
-        )
-        return ticket.result(timeout=0)
+        return await asyncio.wait_for(future, timeout)

@@ -80,3 +80,26 @@ def fast_trainer():
     from repro.training import Trainer
 
     return Trainer(epochs=30, patience=10)
+
+
+@pytest.fixture(scope="session")
+def make_engine():
+    """Build an :class:`InferenceServer` by hand, with its own cache pair.
+
+    A :class:`repro.serving.ShardRouter` hands every engine it builds the
+    router's shared operator and logit caches; a test that drives one
+    engine directly gives it a fresh pair of the same kinds.
+    """
+    from repro.serving import InferenceServer, LRUCache, OperatorCache
+    from repro.serving.router import DEFAULT_LOGIT_CAPACITY
+
+    def make(model, graph, **kwargs):
+        return InferenceServer(
+            model,
+            graph,
+            operator_cache=OperatorCache(),
+            logit_cache=LRUCache(DEFAULT_LOGIT_CAPACITY),
+            **kwargs,
+        )
+
+    return make

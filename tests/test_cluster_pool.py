@@ -154,6 +154,10 @@ class TestStart:
         assert set(workers) == {"w0", "w1"}
         assert all(entry["alive"] is False for entry in workers.values()), workers
         assert pool.healthy_workers() == []
+        # The failed start left the pool as stop() would: it tries again.
+        with pytest.raises(RemoteError):
+            pool.start()
+        assert pool.healthy_workers() == []
 
 
 class TestSupervision:
@@ -267,54 +271,53 @@ class TestSupervision:
 
 
 class TestWorkerProcess:
+    # Each test spawns its worker in a ``with`` block, whose exit closes
+    # the worker's pipes and reaps it.
     def test_protocol_version_mismatch_answered_loudly(self):
-        process = _spawn_worker()
-        try:
-            process.stdin.write(b'{"v": 999, "id": 5, "op": "ping"}\n')
-            process.stdin.flush()
-            reply = decode_message(process.stdout.readline())
-            assert reply["ok"] is False
-            assert reply["error_type"] == "ProtocolError"
-            assert reply["id"] == -1  # unversioned garbage has no trusted id
-        finally:
-            process.kill()
-            process.wait(timeout=10)
+        with _spawn_worker() as process:
+            try:
+                process.stdin.write(b'{"v": 999, "id": 5, "op": "ping"}\n')
+                process.stdin.flush()
+                reply = decode_message(process.stdout.readline())
+                assert reply["ok"] is False
+                assert reply["error_type"] == "ProtocolError"
+                assert reply["id"] == -1  # unversioned garbage has no trusted id
+            finally:
+                process.kill()
 
     def test_sigterm_while_idle_exits_promptly(self):
-        process = _spawn_worker()
-        try:
-            # First answer proves the loop is up before we signal it.
-            process.stdin.write(encode_message(request(1, "ping")))
-            process.stdin.flush()
-            decode_message(process.stdout.readline())
-            process.send_signal(signal.SIGTERM)
-            assert process.wait(timeout=10) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        with _spawn_worker() as process:
+            try:
+                # First answer proves the loop is up before we signal it.
+                process.stdin.write(encode_message(request(1, "ping")))
+                process.stdin.flush()
+                decode_message(process.stdout.readline())
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=10) == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
 
     def test_sigterm_mid_op_drains_the_response_first(self):
-        process = _spawn_worker()
-        try:
-            # Prove the loop (and its signal handlers) are up before timing
-            # a signal against the op.
-            process.stdin.write(encode_message(request(0, "ping")))
-            process.stdin.flush()
-            decode_message(process.stdout.readline())
-            process.stdin.write(encode_message(request(1, "sleep", {"seconds": 1.0})))
-            process.stdin.flush()
-            time.sleep(0.3)  # the sleep op is now executing
-            process.send_signal(signal.SIGTERM)
-            reply = decode_message(process.stdout.readline())
-            assert reply == {
-                "v": PROTOCOL_VERSION,
-                "id": 1,
-                "ok": True,
-                "result": {"slept": 1.0},
-            }
-            assert process.wait(timeout=10) == 0  # ...and then it exited
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        with _spawn_worker() as process:
+            try:
+                # Prove the loop (and its signal handlers) are up before timing
+                # a signal against the op.
+                process.stdin.write(encode_message(request(0, "ping")))
+                process.stdin.flush()
+                decode_message(process.stdout.readline())
+                process.stdin.write(encode_message(request(1, "sleep", {"seconds": 1.0})))
+                process.stdin.flush()
+                time.sleep(0.3)  # the sleep op is now executing
+                process.send_signal(signal.SIGTERM)
+                reply = decode_message(process.stdout.readline())
+                assert reply == {
+                    "v": PROTOCOL_VERSION,
+                    "id": 1,
+                    "ok": True,
+                    "result": {"slept": 1.0},
+                }
+                assert process.wait(timeout=10) == 0  # ...and then it exited
+            finally:
+                if process.poll() is None:
+                    process.kill()

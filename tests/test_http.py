@@ -331,6 +331,48 @@ class TestSessionAndCli:
             assert status == 200
         assert not server.router._running
 
+    def test_predict_burst_runs_on_no_submit_thread_pool(self, artifact):
+        """The door submits on its event loop: a burst of concurrent
+        /predict requests starts no router submit thread, during the burst
+        or after it."""
+        from repro.api import HttpConfig, Session
+
+        def submit_threads():
+            return [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("shard-router-submit")
+            ]
+
+        server = Session().serve_http(artifact, http=HttpConfig(port=0))
+        clients, per_client = 8, 5
+        statuses, seen = [], []
+        start = threading.Barrier(clients)
+
+        def client(seed: int) -> None:
+            connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                start.wait(timeout=30)
+                for index in range(per_client):
+                    body = json.dumps({"node_ids": [seed, index]})
+                    connection.request("POST", "/predict", body)
+                    response = connection.getresponse()
+                    response.read()
+                    statuses.append(response.status)
+                    seen.extend(submit_threads())
+            finally:
+                connection.close()
+
+        with server:
+            threads = [threading.Thread(target=client, args=(seed,)) for seed in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            seen.extend(submit_threads())
+        assert statuses == [200] * (clients * per_client)
+        assert seen == [] and submit_threads() == []
+
     def test_http_server_stops_the_router_it_started(self):
         graph = load_dataset("texas", seed=0)
         router = ShardRouter()

@@ -167,24 +167,25 @@ class TestStatsProtocolNesting:
 
 
 class TestStatsProtocol:
-    def test_every_stats_source_snapshot_matches_as_dict(self, homophilous_graph):
+    def test_every_stats_source_snapshot_matches_as_dict(
+        self, homophilous_graph, make_engine
+    ):
         from repro.models import create_model
-        from repro.serving import InferenceServer, LRUCache, OperatorCache
+        from repro.serving import LRUCache, OperatorCache
 
         model = create_model("MLP", homophilous_graph, seed=0)
-        server = InferenceServer(model, homophilous_graph)
+        server = make_engine(model, homophilous_graph)
         sources = [LRUCache(capacity=2), OperatorCache(), server]
         for source in sources:
             assert isinstance(source, StatsSource)
             assert isinstance(source.stats(), Stats)
             assert source.snapshot() == source.stats().as_dict()
 
-    def test_server_snapshot_nests_component_dicts(self, homophilous_graph):
+    def test_server_snapshot_nests_component_dicts(self, homophilous_graph, make_engine):
         from repro.models import create_model
-        from repro.serving import InferenceServer
 
         model = create_model("MLP", homophilous_graph, seed=0)
-        snapshot = InferenceServer(model, homophilous_graph).snapshot()
+        snapshot = make_engine(model, homophilous_graph).snapshot()
         assert snapshot["cache"]["hits"] == 0
         assert snapshot["logit_cache"]["capacity"] > 0
 
@@ -255,14 +256,13 @@ class TestEngineIntegration:
     """The engine populates histograms and traces end to end."""
 
     @pytest.fixture(scope="class")
-    def served(self, homophilous_graph):
+    def served(self, homophilous_graph, make_engine):
         from repro.models.registry import create_model
-        from repro.serving import InferenceServer
         from repro.training import Trainer
 
         model = create_model("MLP", homophilous_graph, seed=0, hidden=8)
         Trainer(epochs=2, patience=5).fit(model, homophilous_graph)
-        server = InferenceServer(model, homophilous_graph, max_wait_ms=0.0)
+        server = make_engine(model, homophilous_graph, max_wait_ms=0.0)
         with server:
             for _ in range(5):
                 server.submit(node_ids=[0, 1]).result(timeout=60)

@@ -1,8 +1,9 @@
-"""ShardRouter: multi-artifact routing, asyncio front door, back-pressure
+"""ShardRouter: multi-artifact routing, asyncio front door, load shedding
 and weights-versioned logit caching for side-by-side hot-swapped artifacts."""
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from repro.datasets import load_dataset
 from repro.models.base import NodeClassifier
 from repro.nn import Tensor
 from repro.serving import (
-    InferenceServer,
     ServerOverloaded,
     ShardRouter,
     UnknownShard,
@@ -164,68 +164,63 @@ class TestRouting:
 
 
 class TestAsyncFrontDoor:
-    def test_asubmit_under_asyncio(self, three_artifacts):
+    def test_asubmit_ticket_under_asyncio(self, three_artifacts):
         router = Session().serve(*[d for d, _, _ in three_artifacts])
 
         async def drive():
             tasks = [
-                router.asubmit(node_ids=[i % graph.num_nodes], graph=graph)
+                router.asubmit_ticket(node_ids=[i % graph.num_nodes], graph=graph)
                 for _, graph, _ in three_artifacts
                 for i in range(10)
             ]
             return await asyncio.gather(*tasks)
 
         with router:
-            results = asyncio.run(drive())
-        assert len(results) == 30
-        flat = iter(results)
+            tickets = asyncio.run(drive())
+        assert len(tickets) == 30
+        flat = iter(tickets)
         for _, graph, expected in three_artifacts:
             for i in range(10):
-                np.testing.assert_array_equal(next(flat), expected[[i % graph.num_nodes]])
+                np.testing.assert_array_equal(
+                    next(flat).result(timeout=0), expected[[i % graph.num_nodes]]
+                )
 
-    def test_asubmit_propagates_request_errors(self, three_artifacts):
+    def test_asubmit_ticket_propagates_request_errors(self, three_artifacts):
         directory, graph, _ = three_artifacts[0]
         router = Session().serve(directory)
 
         async def bad_request():
-            return await router.asubmit(node_ids=[graph.num_nodes + 99])
+            ticket = await router.asubmit_ticket(node_ids=[graph.num_nodes + 99])
+            return ticket.result(timeout=0)
 
         with router:
             with pytest.raises(IndexError):
                 asyncio.run(bad_request())
 
-    def test_asubmit_respects_back_pressure(self):
+    def test_asubmit_ticket_on_a_full_router_sheds_at_once(self):
         graph = load_dataset("texas", seed=0)
         model = SlowModel(graph.num_features, graph.num_classes)
         router = ShardRouter(max_pending=2)
         router.add_shard(model, graph, name="slow")
 
-        async def drive():
-            tasks = [
-                asyncio.ensure_future(router.asubmit(node_ids=[0], shard="slow"))
-                for _ in range(4)
-            ]
-            # Give the first submissions time to claim the two slots; the
-            # other two coroutines stay parked in the executor.
-            while router.stats().submitted < 2:
-                await asyncio.sleep(0.01)
-            await asyncio.sleep(0.05)
-            in_flight_before_release = router.stats().submitted
-            model.release.set()
-            results = await asyncio.gather(*tasks)
-            return in_flight_before_release, results
+        async def third():
+            # Bounded, so a coroutine parked on a slot fails the test
+            # instead of hanging it.
+            return await asyncio.wait_for(
+                router.asubmit_ticket(node_ids=[2], shard="slow"), 5.0
+            )
 
         with router:
-            in_flight, results = asyncio.run(drive())
-            # Slot waits ran on the router's own pool, not asyncio's shared
-            # default executor.
-            assert router._submit_executor is not None
-            names = {t.name for t in threading.enumerate()}
-            assert any(name.startswith("shard-router-submit") for name in names)
-        assert router._submit_executor is None  # stop() tore the pool down
-        assert in_flight == 2  # the bounded front door held the other two back
-        assert len(results) == 4
-        assert router.stats().submitted == 4
+            held = [router.submit(node_ids=[i], shard="slow") for i in range(2)]
+            try:
+                with pytest.raises(ServerOverloaded, match="at capacity"):
+                    asyncio.run(third())
+                assert router.stats().rejected == 1
+            finally:
+                model.release.set()
+            for ticket in held:
+                ticket.result(timeout=30)
+        assert router.stats().submitted == 2
 
 
 class TestBackPressure:
@@ -238,7 +233,7 @@ class TestBackPressure:
             first = router.submit(node_ids=[0], shard="slow")
             second = router.submit(node_ids=[1], shard="slow")
             with pytest.raises(ServerOverloaded, match="at capacity"):
-                router.submit(node_ids=[2], shard="slow", block=False)
+                router.submit(node_ids=[2], shard="slow")
             assert router.stats().rejected == 1
             model.release.set()
             first.result(timeout=30)
@@ -246,12 +241,31 @@ class TestBackPressure:
             # Completed tickets released their slots: the door is open again.
             router.predict(node_ids=[0], shard="slow", timeout=30)
 
-    def test_raising_done_callback_is_contained(self, capsys):
-        """A broken callback must not re-fail the ticket, skip later
-        callbacks, or kill the worker (asubmit into a closed loop does this)."""
+    def test_predict_on_a_full_router_raises_instead_of_waiting(self):
         graph = load_dataset("texas", seed=0)
         model = SlowModel(graph.num_features, graph.num_classes)
-        server = InferenceServer(model, graph, max_wait_ms=0.0)
+        router = ShardRouter(max_pending=1)
+        router.add_shard(model, graph, name="slow")
+        with router:
+            held = router.submit(node_ids=[0], shard="slow")
+            started = time.monotonic()
+            try:
+                with pytest.raises(ServerOverloaded, match="at capacity"):
+                    router.predict(node_ids=[1], shard="slow", timeout=8.0)
+                # Waiting for a slot would have run out the timeout first.
+                assert time.monotonic() - started < 4.0
+            finally:
+                model.release.set()
+            held.result(timeout=30)
+        assert router.stats().rejected == 1
+
+    def test_raising_done_callback_is_contained(self, capsys, make_engine):
+        """A broken callback must not re-fail the ticket, skip later
+        callbacks, or kill the worker (asubmit_ticket into a closed loop
+        does this)."""
+        graph = load_dataset("texas", seed=0)
+        model = SlowModel(graph.num_features, graph.num_classes)
+        server = make_engine(model, graph, max_wait_ms=0.0)
         with server:
             ticket = server.submit(node_ids=[0])
             assert model.entered.wait(timeout=30)  # in flight: callbacks queue

@@ -13,7 +13,6 @@ from repro.models.mlp import MLPClassifier
 from repro.models.sgc import SGC
 from repro.serving import (
     GraphSwapTicket,
-    InferenceServer,
     LRUCache,
     OperatorCache,
     ShardRouter,
@@ -57,40 +56,42 @@ class TestLRUDiscard:
 
 
 class TestSwapGraph:
-    def test_running_swap_matches_fresh_server(self):
+    def test_running_swap_matches_fresh_server(self, make_engine):
         graph = build_graph(5)
         delta = GraphDelta(
             add_edges=[[0, 7], [3, 1]], set_features={2: np.ones(8)}
         )
         mutated = graph.apply_delta(delta, validate=True)
         model = SGC(8, 3, num_steps=2)
-        server = InferenceServer(model, graph, max_wait_ms=0.5)
+        server = make_engine(model, graph, max_wait_ms=0.5)
         server.cache.preprocess(model, graph)
         with server:
             before = server.submit().result(timeout=10)
-            swap = server.swap_graph(delta, timeout=10)
+            swap = server.swap_graph(delta)
+            swap.result(timeout=10)
             after = server.submit().result(timeout=10)
         assert swap.in_place is True  # SGC patches its propagation in place
         assert swap.old_fingerprint == graph.fingerprint()
         assert swap.new_fingerprint == mutated.fingerprint()
-        reference = InferenceServer(SGC(8, 3, num_steps=2), mutated, max_wait_ms=0.5)
+        reference = make_engine(SGC(8, 3, num_steps=2), mutated, max_wait_ms=0.5)
         reference.cache.preprocess(reference.model, mutated)
         with reference:
             expected = reference.submit().result(timeout=10)
         assert np.array_equal(after, expected)
         assert before.shape == after.shape
 
-    def test_swap_invalidates_only_old_fingerprint(self):
+    def test_swap_invalidates_only_old_fingerprint(self, make_engine):
         graph = build_graph(6)
         other = build_graph(7, name="other")
         model = MLPClassifier(8, 3)
-        server = InferenceServer(model, graph, max_wait_ms=0.5)
+        server = make_engine(model, graph, max_wait_ms=0.5)
         server.cache.preprocess(model, graph)
         server.cache.preprocess(model, other)
         with server:
             server.submit([0, 1]).result(timeout=10)
             server.submit([0], graph=other).result(timeout=10)
-            swap = server.swap_graph(GraphDelta(set_labels={0: 1}), timeout=10)
+            swap = server.swap_graph(GraphDelta(set_labels={0: 1}))
+            swap.result(timeout=10)
         assert swap.invalidated["operator"] == 1
         assert swap.invalidated["logits"] == 1
         # The untouched graph and the freshly-warmed successor both survive.
@@ -98,45 +99,46 @@ class TestSwapGraph:
         assert server.cache.lookup(model, server.graph) is not None
         assert server.cache.lookup(model, graph) is None
 
-    def test_inline_swap_on_stopped_server(self):
+    def test_inline_swap_on_stopped_server(self, make_engine):
         graph = build_graph(8)
-        server = InferenceServer(MLPClassifier(8, 3), graph)
+        server = make_engine(MLPClassifier(8, 3), graph)
         swap = server.swap_graph(GraphDelta(add_edges=[[1, 2]]))
         assert swap.done()
         assert server.graph.fingerprint() == swap.new_fingerprint
         assert isinstance(swap, GraphSwapTicket)
 
-    def test_empty_delta_keeps_cache_entry(self):
+    def test_empty_delta_keeps_cache_entry(self, make_engine):
         graph = build_graph(9)
         model = MLPClassifier(8, 3)
-        server = InferenceServer(model, graph)
+        server = make_engine(model, graph)
         server.cache.preprocess(model, graph)
         swap = server.swap_graph(GraphDelta())
         assert swap.new_fingerprint == swap.old_fingerprint
         assert swap.invalidated == {}
         assert server.cache.lookup(model, server.graph) is not None
 
-    def test_stop_fails_pending_swap(self):
+    def test_stop_fails_pending_swap(self, make_engine):
         graph = build_graph(10)
-        server = InferenceServer(MLPClassifier(8, 3), graph)
+        server = make_engine(MLPClassifier(8, 3), graph)
         server.start()
         server.stop()
         # A swap sneaking in after stop applies inline (not running).
-        swap = server.swap_graph(GraphDelta(add_edges=[[0, 1]]), block=False)
+        swap = server.swap_graph(GraphDelta(add_edges=[[0, 1]]))
         assert swap.done() and swap.result(1) is server.graph
 
-    def test_failing_delta_resolves_ticket(self):
+    def test_failing_delta_resolves_ticket(self, make_engine):
         graph = build_graph(11)
-        server = InferenceServer(MLPClassifier(8, 3), graph)
+        server = make_engine(MLPClassifier(8, 3), graph)
         with server:
+            swap = server.swap_graph(GraphDelta(add_edges=[[0, 10_000]]))
             with pytest.raises(ValueError, match="out of range"):
-                server.swap_graph(GraphDelta(add_edges=[[0, 10_000]]), timeout=10)
+                swap.result(timeout=10)
             # Server keeps serving after a rejected delta.
             assert server.submit([0]).result(timeout=10).shape == (1,)
 
 
 class TestExceptionFanOut:
-    def test_each_ticket_gets_its_own_exception(self):
+    def test_each_ticket_gets_its_own_exception(self, make_engine):
         class ExplodingModel(NodeClassifier):
             def __init__(self):
                 super().__init__(num_features=8, num_classes=3)
@@ -148,9 +150,7 @@ class TestExceptionFanOut:
                 raise AssertionError
 
         graph = build_graph(12)
-        server = InferenceServer(
-            ExplodingModel(), graph, max_wait_ms=20.0
-        )
+        server = make_engine(ExplodingModel(), graph, max_wait_ms=20.0)
         with server:
             first = server.submit([0])
             second = server.submit([1])

@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.graph import GraphDelta
 from repro.models import create_model
 from repro.models.base import NodeClassifier
-from repro.serving import InferenceServer, restore_model, save_model
+from repro.serving import restore_model, save_model
 from repro.training import Trainer
 
 
@@ -51,11 +51,11 @@ class GatedModel(NodeClassifier):
         return self.inner.forward(cache)
 
 
-def _held_server(directory):
+def _held_server(directory, make_engine):
     """A server whose worker is parked inside its first forward."""
     model, _, _, graph = restore_model(directory)
     gated = GatedModel(model)
-    server = InferenceServer(gated, graph)
+    server = make_engine(gated, graph)
     return server, gated, model, graph
 
 
@@ -66,9 +66,9 @@ def _served(directory, max_wait_ms=2.0):
 
 
 class TestInferenceServer:
-    def test_coalesces_concurrent_requests(self, trained_export):
+    def test_coalesces_concurrent_requests(self, trained_export, make_engine):
         directory, _, _ = trained_export
-        server, gated, model, graph = _held_server(directory)
+        server, gated, model, graph = _held_server(directory, make_engine)
         expected = model.predict_logits(graph)
         requests = [[i % graph.num_nodes, (7 * i) % graph.num_nodes] for i in range(20)]
         with server:
@@ -86,9 +86,9 @@ class TestInferenceServer:
         assert stats.requests == 21
         assert stats.batches == 2 and stats.forwards == 1
 
-    def test_swap_closes_the_batch(self, trained_export):
+    def test_swap_closes_the_batch(self, trained_export, make_engine):
         directory, _, _ = trained_export
-        server, gated, model, graph = _held_server(directory)
+        server, gated, model, graph = _held_server(directory, make_engine)
         delta = GraphDelta(set_features={0: graph.features[0] + 1.0})
         new_graph = graph.apply_delta(delta)
         old_logits = model.predict_logits(graph)
@@ -99,7 +99,7 @@ class TestInferenceServer:
             assert gated.entered.wait(timeout=30)
             requests = [[0, i] for i in range(1, 6)]
             ahead = [server.submit(node_ids=ids) for ids in requests]
-            swap = server.swap_graph(delta, block=False)
+            swap = server.swap_graph(delta)
             behind = [server.submit(node_ids=ids) for ids in requests]
             gated.release.set()
             assert swap.result(timeout=30).fingerprint() == new_graph.fingerprint()
