@@ -3,8 +3,9 @@
 The model is fully decoupled:
 
 1. :meth:`ADPA.preprocess` instantiates the k-order DP operators, optionally
-   prunes them by their label correlation (Sec. IV-B), and runs the K-step
-   weight-free propagation of Eq. (9).  The result is cached.
+   keeps the ``max_operators`` with the strongest label correlation
+   (Sec. IV-B), and runs the K-step weight-free propagation of Eq. (9).
+   The result is cached.
 2. :meth:`ADPA.forward` applies, per propagation step, the node-wise DP
    attention (Eq. 10), then fuses the K step representations with the
    node-wise hop attention (Eq. 11) and classifies with an MLP.
@@ -21,6 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..graph.digraph import DirectedGraph
+from ..graph.operators import num_patterns_for_order
 from ..models.base import NodeClassifier
 from ..nn import MLP, Dropout, Tensor
 from ..nn import functional as F
@@ -44,8 +46,11 @@ class ADPA(NodeClassifier):
         ``A, Aᵀ, AA, AᵀAᵀ, AAᵀ, AᵀA`` the paper defaults to.
     dp_attention / hop_attention:
         Attention families for the two hierarchical levels (Table VII).
-    max_operators / min_operator_correlation:
-        Optional correlation-guided operator pruning (Sec. IV-B).
+    max_operators:
+        Optional correlation-guided operator pruning (Sec. IV-B): keep the
+        ``max_operators`` DP operators whose label correlation on the
+        training nodes is strongest.  The count, not the graph, fixes the
+        architecture: ``min(k, max_operators) + 1`` blocks per step.
     residual_alpha:
         Per-step initial-residual (APPNP-style) propagation strength; ``0``
         keeps the plain Eq. (9) propagation.  This is the "well-designed
@@ -68,7 +73,6 @@ class ADPA(NodeClassifier):
         dp_attention: str = "original",
         hop_attention: str = "softmax",
         max_operators: Optional[int] = None,
-        min_operator_correlation: Optional[float] = None,
         residual_alpha: float = 0.0,
         mlp_layers: int = 2,
         dropout: float = 0.5,
@@ -79,45 +83,46 @@ class ADPA(NodeClassifier):
             raise ValueError(f"num_steps must be >= 1, got {num_steps}")
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        self.hidden = hidden
+        if max_operators is not None and max_operators < 0:
+            raise ValueError(f"max_operators must be >= 0, got {max_operators}")
         self.num_steps = num_steps
         self.order = order
-        self.dp_attention_kind = dp_attention
-        self.hop_attention_kind = hop_attention
         self.max_operators = max_operators
-        self.min_operator_correlation = min_operator_correlation
         self.residual_alpha = residual_alpha
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
 
-        # The number of operators is only known after preprocessing (the
-        # correlation-guided selection may prune some), so the attention
-        # modules are built lazily in ``_build_modules``.
-        self._modules_built = False
-        self._num_blocks: Optional[int] = None
-        self.input_dropout = Dropout(dropout, rng=self._rng)
+        rng = np.random.default_rng(seed)
+        self.input_dropout = Dropout(dropout, rng=rng)
         self.classifier = MLP(
             in_features=hidden,
             hidden_features=hidden,
             out_features=num_classes,
             num_layers=mlp_layers,
             dropout=dropout,
-            rng=self._rng,
+            rng=rng,
         )
-        self.dp_attention: Optional[DirectedPatternAttention] = None
-        self.hop_attention: Optional[HopAttention] = None
+        num_operators = num_patterns_for_order(order)
+        if max_operators is not None:
+            num_operators = min(num_operators, max_operators)
+        self.dp_attention = DirectedPatternAttention(
+            in_features=num_features,
+            hidden_features=hidden,
+            num_blocks=num_operators + 1,
+            kind=dp_attention,
+            rng=rng,
+        )
+        self.hop_attention = HopAttention(
+            hidden_features=hidden,
+            num_hops=num_steps,
+            kind=hop_attention,
+            rng=rng,
+        )
 
     # ------------------------------------------------------------------ #
     # Preprocessing (training independent, Fig. 4a)
     # ------------------------------------------------------------------ #
     def preprocess(self, graph: DirectedGraph) -> Dict[str, object]:
         operators = build_dp_operators(graph, order=self.order)
-        names = select_operators(
-            graph,
-            operators,
-            max_operators=self.max_operators,
-            min_correlation=self.min_operator_correlation,
-        )
+        names = select_operators(graph, operators, max_operators=self.max_operators)
         propagation = propagate_features(
             graph,
             num_steps=self.num_steps,
@@ -125,7 +130,6 @@ class ADPA(NodeClassifier):
             operator_names=names,
             residual_alpha=self.residual_alpha,
         )
-        self._build_modules(num_operators=len(names))
         steps: List[List[Tensor]] = []
         initial = Tensor(propagation.initial)
         for step in range(propagation.num_steps):
@@ -135,58 +139,10 @@ class ADPA(NodeClassifier):
             steps.append(blocks)
         return {"steps": steps, "operator_names": propagation.operator_names}
 
-    def _build_modules(self, num_operators: int) -> None:
-        """Create the attention modules once the operator count is known."""
-        num_blocks = num_operators + 1
-        if self._modules_built and num_blocks == self._num_blocks:
-            return
-        if self._modules_built and self.architecture_frozen:
-            # A rebuild would replace the restored attention weights with
-            # fresh random ones and silently serve garbage; refuse instead.
-            raise RuntimeError(
-                f"restored ADPA was trained with {self._num_blocks - 1} DP operators "
-                f"but this graph selects {num_operators}; the architectures are "
-                "incompatible, so the saved weights cannot serve this graph"
-            )
-        self._num_blocks = num_blocks
-        self.dp_attention = DirectedPatternAttention(
-            in_features=self.num_features,
-            hidden_features=self.hidden,
-            num_blocks=num_blocks,
-            kind=self.dp_attention_kind,
-            rng=self._rng,
-        )
-        self.hop_attention = HopAttention(
-            hidden_features=self.hidden,
-            num_hops=self.num_steps,
-            kind=self.hop_attention_kind,
-            rng=self._rng,
-        )
-        self._modules_built = True
-
     # ------------------------------------------------------------------ #
     # Forward pass (Fig. 4b)
     # ------------------------------------------------------------------ #
-    def bind_cache(self, cache: Dict[str, object]) -> None:
-        """Build the attention modules from a cache computed elsewhere.
-
-        A shared-cache hit (or an on-disk spill reload) hands this instance
-        a preprocess result computed by an equal-signature twin; the module
-        shapes are fully determined by the cache, so build them from it.
-        """
-        names = cache.get("operator_names")
-        if names is None:
-            raise RuntimeError(
-                "ADPA given a preprocess cache without operator_names; "
-                "was it computed by a different model?"
-            )
-        self._build_modules(num_operators=len(names))
-
     def forward(self, cache: Dict[str, object]) -> Tensor:
-        if not self._modules_built:
-            if "operator_names" not in cache:
-                raise RuntimeError("ADPA.forward called before preprocess()")
-            self.bind_cache(cache)
         steps: List[List[Tensor]] = cache["steps"]
         rows: Optional[np.ndarray] = cache.get("rows")
         dropout = self.input_dropout
@@ -222,7 +178,3 @@ class ADPA(NodeClassifier):
         steps: List[List[Tensor]] = cache["steps"]
         hop_representations = [self.dp_attention(blocks, cache.get("rows")) for blocks in steps]
         return self.hop_attention.attention_weights(hop_representations)
-
-    def selected_operators(self, cache: Dict[str, object]) -> List[str]:
-        """Names of the DP operators retained after correlation pruning."""
-        return list(cache["operator_names"])

@@ -14,8 +14,8 @@ the paper's complexity argument (O(kKmf) preprocessing, nothing at train
 time).
 
 This module also implements the correlation-guided operator selection
-recommended in Sec. IV-B: operators whose ``r(G_d, N)`` on the *training*
-labels is weak can be dropped to save computation.
+recommended in Sec. IV-B: only the operators whose ``r(G_d, N)`` on the
+*training* labels is strongest are kept, to save computation.
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ def select_operators(
     graph: DirectedGraph,
     operators: Dict[str, sp.csr_matrix],
     max_operators: Optional[int] = None,
-    min_correlation: Optional[float] = None,
     train_only: bool = True,
 ) -> List[str]:
-    """Rank DP operators by ``r(G_d, N)`` and keep the strongest ones.
+    """Rank DP operators by ``r(G_d, N)`` and keep the ``max_operators`` strongest.
 
     Implements the efficiency recommendation of Sec. IV-B: when labels are
     (partially) known, operators with a higher positive correlation to the
@@ -110,7 +109,7 @@ def select_operators(
     on the training subgraph only (``train_only=True``) so no test
     information leaks into model construction.
     """
-    if max_operators is None and min_correlation is None:
+    if max_operators is None:
         return list(operators)
     if train_only and graph.train_mask is not None:
         nodes = np.flatnonzero(graph.train_mask)
@@ -123,17 +122,9 @@ def select_operators(
         correlation = pattern_profile_correlation(submatrix, labels)
         ranked.append((name, correlation))
     ranked.sort(key=lambda item: item[1], reverse=True)
-    if min_correlation is None:
-        kept = [name for name, _ in ranked]
-    else:
-        kept = [name for name, correlation in ranked if correlation >= min_correlation]
-    if not kept:
-        # Never drop everything: fall back to the single best operator.
-        kept = [ranked[0][0]]
-    if max_operators is not None:
-        kept = kept[:max_operators]
+    kept = {name for name, _ in ranked[:max_operators]}
     # Preserve the canonical operator ordering for reproducibility.
-    return [name for name in operators if name in set(kept)]
+    return [name for name in operators if name in kept]
 
 
 def propagate_features(

@@ -45,7 +45,7 @@ def dp_attention_distribution(model: ADPA, cache: Dict[str, object]) -> Dict[str
     since those variants have no explicit per-operator weights.
     """
     operator_names = ["initial"] + list(cache["operator_names"])
-    if model.dp_attention is None or model.dp_attention.kind in ("jk", "none"):
+    if model.dp_attention.kind in ("jk", "none"):
         uniform = 1.0 / len(operator_names)
         return {name: uniform for name in operator_names}
 

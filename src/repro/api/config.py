@@ -46,12 +46,13 @@ def _validate_model_kwargs(model_name: str, kwargs: Mapping[str, object]) -> Non
         return
     if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters):
         return
-    accepted = {p.name for p in parameters}
+    # The dimensions come from the graph, never from the kwargs.
+    accepted = {p.name for p in parameters} - {"num_features", "num_classes", "num_nodes"}
     unknown = sorted(set(kwargs) - accepted)
     if unknown:
         raise ValueError(
             f"model {spec.name} does not accept constructor kwargs {unknown}; "
-            f"accepted: {sorted(accepted - {'num_features', 'num_classes'})}"
+            f"accepted: {sorted(accepted)}"
         )
 
 #: the paper's experimental protocol: every result is mean ± std over ten

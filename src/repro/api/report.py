@@ -75,20 +75,6 @@ class RunReport:
             preprocess_seconds=float(result.preprocess_seconds),
         )
 
-    def as_row(self) -> Dict[str, object]:
-        """A self-describing flat row: identity, seed and all accuracies."""
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "variant": self.variant,
-            "seed": self.seed,
-            "train_accuracy": round(self.train_accuracy, 4),
-            "val_accuracy": round(self.val_accuracy, 4),
-            "test_accuracy": round(self.test_accuracy, 4),
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-        }
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "model": self.model,
@@ -257,10 +243,6 @@ class SweepReport:
             ):
                 return cell
         raise KeyError(f"no cell for model={model!r} dataset={dataset!r} variant={variant!r}")
-
-    def run_rows(self) -> List[Dict[str, object]]:
-        """Every individual run as a flat row (seed-level detail)."""
-        return [run.as_row() for cell in self.cells for run in cell.runs]
 
     # ------------------------------------------------------------------ #
     # Rendering

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import io
 import queue
 import secrets as secrets_module
 import select
@@ -138,12 +139,19 @@ class PipeTransport(Transport):
     way of reclaiming a wedged single-threaded worker) and ``wait_closed``
     reaps the exit status, so restarts never stack zombies, and then
     closes both pipe ends (a reader still in ``readline`` sees EOF).
+
+    The pipes are unbuffered (``bufsize=0``), so a write reaches the worker
+    at once.  The child's stdout is read through a buffer: a raw pipe's
+    ``readline`` makes one ``read`` call per byte.
     """
 
     kind = "pipe"
 
     def __init__(self, process: "subprocess.Popen") -> None:
         self.process = process
+        self._stdout = (
+            io.BufferedReader(process.stdout) if process.stdout is not None else None
+        )
 
     @property
     def pid(self) -> Optional[int]:
@@ -170,11 +178,10 @@ class PipeTransport(Transport):
             raise TransportClosed("worker stdin pipe is closed") from None
 
     def readline(self) -> bytes:
-        stdout = self.process.stdout
-        if stdout is None:
+        if self._stdout is None:
             return b""
         try:
-            return stdout.readline()
+            return self._stdout.readline()
         except (OSError, ValueError):
             return b""
 
@@ -190,7 +197,7 @@ class PipeTransport(Transport):
             self.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             return False
-        for pipe in (self.process.stdin, self.process.stdout):
+        for pipe in (self.process.stdin, self._stdout):
             if pipe is not None:
                 pipe.close()
         return True
@@ -542,6 +549,11 @@ class WorkerListener:
     def rejected(self) -> int:
         """Connections dropped by a failed handshake (wrong secret/version)."""
         return self._rejected
+
+    @property
+    def stopped(self) -> bool:
+        """Whether :meth:`stop` closed the socket; a stopped listener never reopens."""
+        return self._stopping
 
     def _accept_loop(self) -> None:
         while True:

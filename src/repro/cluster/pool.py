@@ -457,6 +457,7 @@ class WorkerPool(StatsSource):
                 )
             self.listener = WorkerListener(listen, secret=secret)
         self.listen_address = self.listener.address if self.listener else None
+        self._secret = secret
 
         launchers: List[Any] = [
             _PipeLauncher() for _ in range(count - remote_count)
@@ -485,6 +486,11 @@ class WorkerPool(StatsSource):
     def start(self) -> "WorkerPool":
         if self._started:
             raise RuntimeError("pool is already started")
+        if self.listener is not None and self.listener.stopped:
+            # stop() and a failed start() close the listener; a restart
+            # binds its resolved address again, so a connect-back worker
+            # dials a live port.
+            self.listener = WorkerListener(self.listen_address, secret=self._secret)
         self._started = True
         self._stopping = False
         try:

@@ -122,16 +122,6 @@ class GraphDelta:
     # -------------------------------------------------------------- #
     # Introspection
     # -------------------------------------------------------------- #
-    @property
-    def is_empty(self) -> bool:
-        return (
-            self.add_edges is None
-            and self.remove_edges is None
-            and not self.set_features
-            and not self.set_labels
-            and not self.set_masks
-        )
-
     def edge_endpoints(self) -> np.ndarray:
         """Sorted unique node ids appearing as either endpoint of an edge edit."""
         nodes = [

@@ -20,7 +20,7 @@ from ..graph.digraph import DirectedGraph
 from ..graph.operators import add_self_loops, row_normalized, symmetric_normalized_adjacency
 from ..graph.transforms import to_undirected
 from ..nn import MLP, Linear, Tensor, concatenate, sparse_matmul
-from .base import NodeClassifier
+from .base import NodeClassifier, check_num_nodes
 
 
 class A2DUG(NodeClassifier):
@@ -32,6 +32,7 @@ class A2DUG(NodeClassifier):
         self,
         num_features: int,
         num_classes: int,
+        num_nodes: int,
         hidden: int = 64,
         num_steps: int = 2,
         dropout: float = 0.5,
@@ -41,19 +42,18 @@ class A2DUG(NodeClassifier):
         if num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {num_steps}")
         rng = np.random.default_rng(seed)
-        self.hidden = hidden
+        self.num_nodes = num_nodes
         self.num_steps = num_steps
-        self._rng = rng
         self.feature_encoder = MLP(num_features, hidden, hidden, num_layers=1, dropout=dropout, rng=rng)
         self.undirected_encoder = MLP(num_features, hidden, hidden, num_layers=1, dropout=dropout, rng=rng)
         self.directed_encoder = MLP(2 * num_features, hidden, hidden, num_layers=1, dropout=dropout, rng=rng)
-        # Adjacency-row encoders are graph-size dependent; built lazily.
-        self._undirected_adj_encoder: Linear = None
-        self._directed_adj_encoder: Linear = None
-        self._num_nodes: int = None
         self.classifier = MLP(5 * hidden, hidden, num_classes, num_layers=2, dropout=dropout, rng=rng)
+        # Linear maps from R^n embed the undirected and directed adjacency rows.
+        self._undirected_adj_encoder = Linear(num_nodes, hidden, rng=rng)
+        self._directed_adj_encoder = Linear(num_nodes, hidden, rng=rng)
 
     def preprocess(self, graph: DirectedGraph) -> Dict[str, object]:
+        check_num_nodes(self, graph)
         undirected = to_undirected(graph)
         undirected_norm = symmetric_normalized_adjacency(undirected.adjacency)
         out_norm = row_normalized(add_self_loops(graph.adjacency))
@@ -66,11 +66,6 @@ class A2DUG(NodeClassifier):
             undirected_features = undirected_norm @ undirected_features
             out_features = out_norm @ out_features
             in_features = in_norm @ in_features
-
-        if self._undirected_adj_encoder is None or self._num_nodes != graph.num_nodes:
-            self._num_nodes = graph.num_nodes
-            self._undirected_adj_encoder = Linear(graph.num_nodes, self.hidden, rng=self._rng)
-            self._directed_adj_encoder = Linear(graph.num_nodes, self.hidden, rng=self._rng)
 
         return {
             "x": Tensor(graph.features),

@@ -1,13 +1,18 @@
 """Common contract for every node-classification model in the reproduction.
 
-Each model is a :class:`repro.nn.Module` with two extra responsibilities:
+Each model is a :class:`repro.nn.Module` whose constructor builds every
+parameter: its shapes follow from the hyper-parameters and the dimensions
+``num_features`` and ``num_classes``, plus ``num_nodes`` for the models
+that embed adjacency rows (LINKX, A2DUG).  It has two extra
+responsibilities:
 
 ``preprocess(graph)``
     Compute everything that does not depend on trainable parameters —
     normalised adjacencies, pre-propagated features, DP operator caches —
-    and return it as a dict.  The trainer calls this exactly once per
-    (model, graph) pair, which is what makes the decoupled models
-    (SGC, ADPA, GPR-GNN, …) cheap: their propagation lives here.
+    and return it as a dict.  It never modifies the model.  The trainer
+    calls this exactly once per (model, graph) pair, which is what makes
+    the decoupled models (SGC, ADPA, GPR-GNN, …) cheap: their propagation
+    lives here.
 
 ``forward(cache)``
     Map the cached inputs to ``(n, num_classes)`` logits.  Called every
@@ -28,12 +33,13 @@ top of this contract, so model files stay focused on the architecture.
 
 from __future__ import annotations
 
+import inspect
 import itertools
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..fingerprint import model_fingerprint, preprocess_key
+from ..fingerprint import model_fingerprint
 from ..graph.digraph import DirectedGraph
 from ..nn import Module, Tensor, no_grad
 
@@ -42,22 +48,40 @@ from ..nn import Module, Tensor, no_grad
 _SIGNATURE_TOKENS = itertools.count()
 
 
+def node_dimension(
+    constructor: Callable[..., "NodeClassifier"], graph: DirectedGraph
+) -> Dict[str, int]:
+    """``{"num_nodes": graph.num_nodes}`` if ``constructor`` declares it, else ``{}``.
+
+    ``num_nodes`` is a dimension, like ``num_features``, of the models that
+    embed adjacency rows; it is never a hyper-parameter, so it stays out
+    of the constructor kwargs that signatures and artifacts record.
+    """
+    if "num_nodes" in inspect.signature(constructor).parameters:
+        return {"num_nodes": graph.num_nodes}
+    return {}
+
+
+def check_num_nodes(model: "NodeClassifier", graph: DirectedGraph) -> None:
+    """Refuse a graph whose node count is not the one ``model`` was built for."""
+    if graph.num_nodes != model.num_nodes:
+        raise ValueError(
+            f"{type(model).__name__} embeds adjacency rows of {model.num_nodes} nodes, "
+            f"but the graph has {graph.num_nodes}"
+        )
+
+
 class NodeClassifier(Module):
     """Base class for semi-supervised node classifiers.
 
     Sub-classes must set ``self.num_features`` / ``self.num_classes`` (the
-    constructor does it for them) and implement :meth:`preprocess` and
-    :meth:`forward`.
+    constructor does it for them), build every parameter in their own
+    constructor, and implement :meth:`preprocess` and :meth:`forward`.
     """
 
     #: whether the model consumes directed adjacencies natively; undirected
     #: models symmetrise their input inside ``preprocess``.
     directed: bool = False
-
-    #: set on instances restored from a serving artifact: lazily-built
-    #: modules must not be re-created with a different shape once trained
-    #: weights have been loaded (see :class:`repro.adpa.model.ADPA`).
-    architecture_frozen: bool = False
 
     def __init__(self, num_features: int, num_classes: int) -> None:
         super().__init__()
@@ -79,10 +103,10 @@ class NodeClassifier(Module):
         labels, splits) — no randomness, no dependence on parameter values —
         so that :class:`repro.serving.cache.OperatorCache` can key it by
         ``(signature, graph fingerprint)`` and share it across reloads of
-        the same model.  Models that build modules lazily inside
-        ``preprocess`` (e.g. ADPA) must make the construction deterministic
-        in shape, because restored weights are loaded *after* one preprocess
-        call.
+        the same model.  It never modifies the model: the parameters exist
+        from construction, and a cache computed by an equal-signature twin
+        serves this instance unchanged.  A model built for ``num_nodes``
+        nodes raises :class:`ValueError` on a graph of another size.
         """
         raise NotImplementedError
 
@@ -144,30 +168,6 @@ class NodeClassifier(Module):
         """
         return None
 
-    def bind_cache(self, cache: Dict[str, object]) -> None:
-        """Adopt a preprocess cache computed elsewhere.
-
-        Called when this instance is handed a cache it did not compute — a
-        shared :class:`repro.serving.cache.OperatorCache` hit or an on-disk
-        spill reload.  Models that build modules lazily inside
-        ``preprocess`` (e.g. ADPA) override this to rebuild the same
-        architecture from the cache content, so stored weights can be
-        loaded afterwards; the default is a no-op.
-        """
-        return None
-
-    def preprocess_cached(self, graph: DirectedGraph, cache) -> Dict[str, object]:
-        """Fetch (or build) the preprocess output through a shared cache.
-
-        ``cache`` is any object with ``get_or_compute(key, factory)`` — in
-        practice the LRU behind :class:`repro.serving.cache.OperatorCache`,
-        whose ``preprocess`` method delegates here so the key format lives
-        in exactly one place.
-        """
-        return cache.get_or_compute(
-            preprocess_key(self, graph), lambda: self.preprocess(graph)
-        )
-
     # ------------------------------------------------------------------ #
     # Convenience inference helpers
     # ------------------------------------------------------------------ #
@@ -195,4 +195,9 @@ class NodeClassifier(Module):
     @classmethod
     def from_graph(cls, graph: DirectedGraph, **kwargs) -> "NodeClassifier":
         """Instantiate the model with dimensions inferred from ``graph``."""
-        return cls(num_features=graph.num_features, num_classes=graph.num_classes, **kwargs)
+        return cls(
+            num_features=graph.num_features,
+            num_classes=graph.num_classes,
+            **node_dimension(cls, graph),
+            **kwargs,
+        )

@@ -17,7 +17,7 @@ import numpy as np
 from ..graph.digraph import DirectedGraph
 from ..graph.transforms import to_undirected
 from ..nn import MLP, Linear, Tensor, concatenate, sparse_matmul
-from .base import NodeClassifier
+from .base import NodeClassifier, check_num_nodes
 
 
 class LINKX(NodeClassifier):
@@ -29,27 +29,23 @@ class LINKX(NodeClassifier):
         self,
         num_features: int,
         num_classes: int,
+        num_nodes: int,
         hidden: int = 64,
         dropout: float = 0.5,
         seed: int = 0,
     ) -> None:
         super().__init__(num_features, num_classes)
         rng = np.random.default_rng(seed)
-        self.hidden = hidden
-        # The adjacency encoder is a linear map from R^n; its input size is
-        # graph dependent, so it is created lazily in ``preprocess``.
-        self._adjacency_encoder: Linear = None
-        self._num_nodes: int = None
-        self._rng = rng
+        self.num_nodes = num_nodes
         self.feature_encoder = MLP(num_features, hidden, hidden, num_layers=1, dropout=dropout, rng=rng)
         self.combiner = Linear(2 * hidden, hidden, rng=rng)
         self.final = MLP(hidden, hidden, num_classes, num_layers=2, dropout=dropout, rng=rng)
+        # A linear map from R^n embeds each adjacency row.
+        self._adjacency_encoder = Linear(num_nodes, hidden, rng=rng)
 
     def preprocess(self, graph: DirectedGraph) -> Dict[str, object]:
+        check_num_nodes(self, graph)
         undirected = to_undirected(graph)
-        if self._adjacency_encoder is None or self._num_nodes != graph.num_nodes:
-            self._num_nodes = graph.num_nodes
-            self._adjacency_encoder = Linear(graph.num_nodes, self.hidden, rng=self._rng)
         return {
             "x": Tensor(graph.features),
             "adj": undirected.adjacency.tocsr(),

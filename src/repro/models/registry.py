@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from ..graph.digraph import DirectedGraph
 from .a2dug import A2DUG
 from .aerognn import AeroGNN
-from .base import NodeClassifier
+from .base import NodeClassifier, node_dimension
 from .bernnet import BernNet
 from .dgcn import DGCN
 from .digcn import DiGCN
@@ -75,11 +75,16 @@ def create_model(name: str, graph: DirectedGraph, **kwargs) -> NodeClassifier:
 
     The registry name and constructor kwargs are stamped onto the instance so
     the serving layer (:mod:`repro.serving.artifacts`) can export the model
-    and rebuild it bit-exactly in another process.
+    and rebuild it bit-exactly in another process.  The dimensions
+    (``num_features``, ``num_classes`` and, where declared, ``num_nodes``)
+    are not among the kwargs.
     """
     spec = get_spec(name)
     model = spec.constructor(
-        num_features=graph.num_features, num_classes=graph.num_classes, **kwargs
+        num_features=graph.num_features,
+        num_classes=graph.num_classes,
+        **node_dimension(spec.constructor, graph),
+        **kwargs,
     )
     model._registry_name = spec.name
     model._init_kwargs = dict(kwargs)

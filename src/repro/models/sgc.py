@@ -23,10 +23,6 @@ from .base import NodeClassifier
 #: re-preprocess instead.
 _MAX_PATCH_PAIRS = 4096
 
-#: Cache keys update_preprocess() needs; entries from older spills that
-#: lack them fall back to a full re-preprocess.
-_DELTA_KEYS = ("operator", "steps", "support", "degrees", "dinv_sqrt")
-
 
 class SGC(NodeClassifier):
     """Simplified graph convolution: pre-propagation + logistic regression."""
@@ -87,8 +83,6 @@ class SGC(NodeClassifier):
         degree-changed nodes, and the K-hop expansion of changed rows —
         is copied from the old result untouched.
         """
-        if cache is None or any(key not in cache for key in _DELTA_KEYS):
-            return None
         operator = cache["operator"]
         support = cache["support"]
         degrees = cache["degrees"]

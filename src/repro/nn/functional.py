@@ -107,30 +107,3 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, mask: Optional[np.ndarray] 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: Optional[np.ndarray] = None) -> Tensor:
     """Softmax cross-entropy on raw logits."""
     return nll_loss(log_softmax(logits, axis=-1), targets, mask)
-
-
-def binary_cross_entropy_with_logits(
-    logits: Tensor, targets: np.ndarray, mask: Optional[np.ndarray] = None
-) -> Tensor:
-    """Numerically stable binary cross-entropy on raw logits."""
-    targets = np.asarray(targets, dtype=np.float64)
-    x = logits
-    # log(1 + exp(-|x|)) + max(x, 0) - x * y
-    abs_x = x.abs()
-    loss = (abs_x * -1.0).exp().__add__(1.0).log() + x.relu() - x * Tensor(targets)
-    if mask is not None:
-        mask = np.asarray(mask)
-        rows = np.flatnonzero(mask) if mask.dtype == bool else mask
-        loss = loss[rows]
-    return loss.mean()
-
-
-def l2_regularization(parameters) -> Tensor:
-    """Sum of squared parameter entries, used for explicit weight decay."""
-    total: Optional[Tensor] = None
-    for param in parameters:
-        term = (param * param).sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total

@@ -20,13 +20,6 @@ def glorot_uniform(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def kaiming_uniform(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform initialisation, suited to ReLU networks."""
-    fan_in = shape[0]
-    limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def normal(shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.01) -> np.ndarray:
     """Small-variance Gaussian initialisation for attention vectors."""
     return rng.normal(0.0, std, size=shape)

@@ -112,18 +112,34 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Overwrite parameters and buffers with ``state``'s arrays.
+
+        Raises :class:`KeyError` on a name this module does not have and
+        :class:`ValueError` on an array whose shape differs from the one it
+        replaces; either way nothing is loaded.
+        """
         params = dict(self.named_parameters())
         buffer_owners = self._buffer_owners()
-        missing = set(state) - set(params) - set(buffer_owners)
-        if missing:
-            raise KeyError(f"state dict contains unknown parameters: {sorted(missing)}")
+        unknown = set(state) - set(params) - set(buffer_owners)
+        if unknown:
+            raise KeyError(f"state dict contains unknown parameters: {sorted(unknown)}")
+        current = {
+            name: params[name].data if name in params else getattr(*buffer_owners[name])
+            for name in state
+        }
+        mismatched = [
+            f"{name}: stored {np.shape(state[name])}, expected {current[name].shape}"
+            for name in state
+            if np.shape(state[name]) != current[name].shape
+        ]
+        if mismatched:
+            raise ValueError(f"state dict shapes do not match the module: {mismatched}")
         for name, value in state.items():
+            loaded = np.array(value, dtype=current[name].dtype)
             if name in params:
-                params[name].data = np.array(value, dtype=params[name].data.dtype)
+                params[name].data = loaded
             else:
-                owner, attr = buffer_owners[name]
-                current = getattr(owner, attr)
-                setattr(owner, attr, np.array(value, dtype=current.dtype))
+                setattr(*buffer_owners[name], loaded)
 
     def _buffer_owners(self, prefix: str = "") -> Dict[str, tuple]:
         """Map dotted buffer names to ``(owning module, attribute)`` pairs."""

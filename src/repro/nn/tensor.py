@@ -196,10 +196,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

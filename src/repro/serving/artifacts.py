@@ -15,10 +15,10 @@ An artifact is a directory:
     :func:`repro.graph.io.save_graph`.  Shipping the graph makes an artifact
     self-contained: ``repro predict <dir>`` needs nothing else.
 
-Restoring is a three-step dance dictated by the lazily-built models (ADPA
-constructs its attention modules inside ``preprocess`` once the operator
-count is known): construct from the registry, run ``preprocess`` on the
-target graph, then overwrite every parameter with the stored state.
+Restoring builds the model from the registry (every parameter exists from
+construction), loads the stored state, whose array shapes must match the
+parameters', and only then preprocesses the target graph, through a shared
+operator cache when one is given.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from ..graph.digraph import DirectedGraph
 from ..graph.io import load_graph, save_graph
-from ..models.base import NodeClassifier
+from ..models.base import NodeClassifier, node_dimension
 from ..models.registry import get_spec
 from ..fingerprint import model_fingerprint
 
@@ -76,12 +76,17 @@ class ModelArtifact:
         """Configuration fingerprint (weights excluded) for cache keying."""
         return model_fingerprint(self.model_name, self.model_kwargs)
 
-    def build_model(self) -> NodeClassifier:
-        """Construct the (untrained) model this artifact describes."""
+    def build_model(self, graph: DirectedGraph) -> NodeClassifier:
+        """Construct the (untrained) model this artifact describes for ``graph``.
+
+        ``graph`` supplies ``num_nodes`` to the models that declare it;
+        the manifest supplies every other dimension and hyper-parameter.
+        """
         spec = get_spec(self.model_name)
         model = spec.constructor(
             num_features=self.num_features,
             num_classes=self.num_classes,
+            **node_dimension(spec.constructor, graph),
             **self.model_kwargs,
         )
         model._registry_name = spec.name
@@ -91,29 +96,24 @@ class ModelArtifact:
     def restore(
         self, graph: DirectedGraph, operator_cache=None
     ) -> Tuple[NodeClassifier, Dict[str, object]]:
-        """Build the model, preprocess ``graph`` and load the stored weights.
+        """Build the model, load the stored weights and preprocess ``graph``.
 
-        Returns ``(model, cache)`` ready for ``model.forward(cache)``; the
-        preprocess happens *before* the weight load so lazily-built modules
-        exist when their parameters are restored.  ``operator_cache`` (a
-        :class:`repro.serving.cache.OperatorCache`) routes the preprocess
+        Returns ``(model, cache)`` ready for ``model.forward(cache)``.  A
+        stored array whose shape differs from its parameter's (say, a LINKX
+        trained on a graph of another node count) raises
+        :class:`ValueError` before the preprocess runs.  ``operator_cache``
+        (a :class:`repro.serving.cache.OperatorCache`) routes the preprocess
         through a shared cache: on a hit — another shard of the same
         configuration, or a directory warmed from an on-disk spill — the
-        whole precomputation is skipped and ``bind_cache`` rebuilds any
-        lazily-constructed modules from the cached result instead.
+        whole precomputation is skipped.
         """
-        model = self.build_model()
+        model = self.build_model(graph)
+        model.load_state_dict(self.state)
+        model.eval()
         if operator_cache is None:
             cache = model.preprocess(graph)
         else:
             cache = operator_cache.preprocess(model, graph)
-        model.bind_cache(cache)
-        model.load_state_dict(self.state)
-        # From here on, any lazy module rebuild would discard the loaded
-        # weights; models with shape-dependent lazy construction check this
-        # flag and raise instead of silently reinitialising.
-        model.architecture_frozen = True
-        model.eval()
         return model, cache
 
 
@@ -225,8 +225,8 @@ def restore_model(
 
     ``graph`` defaults to the graph stored inside the artifact; passing a
     different graph serves the same weights against new data (the preprocess
-    is recomputed for it, and models with shape-dependent lazy construction
-    raise if the new graph is architecturally incompatible).
+    is recomputed for it, and a graph whose node count does not fit a
+    node-sized model's weights raises :class:`ValueError`).
     ``operator_cache`` is forwarded to :meth:`ModelArtifact.restore` so a
     warm shared cache skips the preprocess entirely.  Returns
     ``(model, cache, artifact, graph)`` with the graph actually used.

@@ -462,7 +462,9 @@ class OperatorCache(StatsSource):
         included, so the snapshot shows the bimodal hit/miss split."""
         started = time.perf_counter()
         try:
-            return model.preprocess_cached(graph, self._cache)
+            return self._cache.get_or_compute(
+                preprocess_key(model, graph), lambda: model.preprocess(graph)
+            )
         finally:
             self._preprocess_latency.record_seconds(time.perf_counter() - started)
 

@@ -314,12 +314,7 @@ class InferenceServer(StatsSource):
         # router — the weights-version key field keeps entries of
         # side-by-side hot-swapped artifacts apart.
         self._logit_cache = logit_cache
-        # The (signature, weights-version) cache-key prefix is computed
-        # lazily by the worker *after* the first preprocess, so lazily-built
-        # modules (ADPA's attention) exist before their weights are hashed
-        # into the version.  It only resets through clear_logit_cache(), so
-        # the hot batch loop never rehashes the weights.
-        self._logit_key_prefix: Optional[Tuple[str, str]] = None
+        self._logit_key_prefix = self._weights_key()
         self.max_wait_seconds = max_wait_ms / 1000.0
         # Unbounded, so submit() never blocks under the lifecycle lock and
         # the stop sentinel can always be enqueued.
@@ -435,7 +430,20 @@ class InferenceServer(StatsSource):
         recompute on the next request.
         """
         self._logit_cache.clear()
-        self._logit_key_prefix = None
+        self._logit_key_prefix = self._weights_key()
+
+    def _weights_key(self) -> Tuple[str, str]:
+        """The logit-key prefix: model signature and weights version.
+
+        The signature covers hyper-parameters outside the state dict (e.g.
+        SGC's num_steps), which change the forward output without changing
+        any weight, as :func:`repro.fingerprint.preprocess_key` does for the
+        operator cache.  Every parameter exists from construction, so the
+        state dict hashed here is the one every forward uses; the prefix is
+        hashed once, and again only by :meth:`clear_logit_cache`, so the
+        hot batch loop never rehashes the weights.
+        """
+        return (self.model.signature(), state_fingerprint(self.model.state_dict()))
 
     def submit(
         self,
@@ -612,26 +620,9 @@ class InferenceServer(StatsSource):
         for key, tickets in groups.items():
             graph = graphs[key]
             try:
-                # Shared-cache keys need the model signature on top of the
-                # weights version: hyper-parameters outside the state dict
-                # (e.g. SGC's num_steps) change the forward output without
-                # changing any weight, same as preprocess_key does for the
-                # operator cache.
-                cache = None
-                if self._logit_key_prefix is None:
-                    # All lazily-built modules exist after preprocess, so
-                    # the state dict now covers every weight.  Known
-                    # before the first lookup, the key can hit logits
-                    # warmed from a spill directory.
-                    cache = self.cache.preprocess(self.model, graph)
-                    self._logit_key_prefix = (
-                        self.model.signature(),
-                        state_fingerprint(self.model.state_dict()),
-                    )
                 logits = self._logit_cache.get((*self._logit_key_prefix, key))
                 if logits is None:
-                    if cache is None:
-                        cache = self.cache.preprocess(self.model, graph)
+                    cache = self.cache.preprocess(self.model, graph)
                     cache_done = time.perf_counter()
                     logits = self.model.predict_logits(graph, cache)
                     path = "eager"

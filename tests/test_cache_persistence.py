@@ -16,8 +16,8 @@ from repro.serving.cache import SPILL_FORMAT_VERSION
 
 QUICK = TrainConfig(epochs=4, patience=4)
 
-#: decoupled + coupled + lazily-built architectures: Tensors and sparse
-#: operators appear in these preprocess caches.
+#: decoupled + coupled architectures, ADPA's nested step blocks among them:
+#: Tensors and sparse operators appear in these preprocess caches.
 MODELS = [("SGC", {}), ("GCN", {"hidden": 8}), ("MagNet", {"hidden": 8}),
           ("ADPA", {"hidden": 8, "num_steps": 2})]
 
@@ -328,7 +328,7 @@ class TestWarmRestore:
     def test_restore_through_warmed_cache_skips_preprocess(
         self, trained_handles, tmp_path
     ):
-        # Export the lazily-built ADPA handle and spill its preprocess.
+        # Export the ADPA handle and spill its preprocess.
         adpa = trained_handles[-1]
         artifact_dir = tmp_path / "artifact"
         adpa.save(artifact_dir)
@@ -416,6 +416,47 @@ class TestWarmRestore:
         for name, shard_stats in warm.stats().shards.items():
             assert shard_stats.forwards == 0, name
             np.testing.assert_array_equal(served[name], expected[name])
+
+
+class TestNodeSizedModels:
+    """LINKX and A2DUG size their adjacency encoders by the graph's node count."""
+
+    @pytest.mark.parametrize("name", ["LINKX", "A2DUG"])
+    def test_serves_as_two_shards_and_from_a_spill(self, name, tmp_path):
+        handle = Session(train=QUICK).load("texas").fit(name, hidden=8)
+        expected = handle.predict_logits()
+        artifact = tmp_path / "artifact"
+        handle.save(artifact)
+
+        def served(router):
+            logits = []
+            with router:
+                for info in router.shards():
+                    ticket = router.submit(shard=info.name)
+                    ticket.result(timeout=60)
+                    logits.append(ticket.logits)
+            return logits
+
+        # The second shard restores through the first one's preprocess entry.
+        router = ShardRouter()
+        router.add_artifact(artifact, name="first")
+        router.add_artifact(artifact, name="second")
+        assert router.operator_cache.stats().hits == 1
+        answers = served(router)
+        assert len(answers) == 2
+        for logits in answers:
+            assert logits.tobytes() == expected.tobytes()
+        router.spill(tmp_path / "spill")
+
+        warmed = OperatorCache()
+        assert warmed.warm(tmp_path / "spill") == 1
+        model, cache, _, graph = restore_model(artifact, operator_cache=warmed)
+        assert warmed.stats().misses == 0
+        assert model.predict_logits(graph, cache).tobytes() == expected.tobytes()
+        warm = Session().serve(artifact, cache_dir=tmp_path / "spill")
+        assert warm.operator_cache.stats().misses == 0
+        [logits] = served(warm)
+        assert logits.tobytes() == expected.tobytes()
 
 
 class TestServeCacheDir:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import socket
 import subprocess
@@ -16,7 +17,9 @@ from repro.cluster import (
     CONNECT_PLACEHOLDER,
     PROTOCOL_VERSION,
     HandshakeError,
+    PipeTransport,
     ProtocolError,
+    RemoteError,
     TcpTransport,
     TransportClosed,
     WorkerListener,
@@ -296,6 +299,52 @@ class TestTcpTransport:
         peer.close()
 
 
+class _CountingPipe(io.FileIO):
+    """A worker's raw stdout pipe that counts the reads made on it."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+    def readinto(self, buffer):
+        self.reads += 1
+        return super().readinto(buffer)
+
+
+class _ExitedProcess:
+    """The parts of a reaped ``subprocess.Popen`` a PipeTransport reads."""
+
+    pid = None
+    stdin = None
+
+    def __init__(self, stdout) -> None:
+        self.stdout = stdout
+
+    def wait(self, timeout=None) -> int:
+        return 0
+
+
+class TestPipeTransport:
+    def test_readline_reads_through_a_buffer(self):
+        # Answer-sized lines, as a pipe worker writes them (bufsize=0 hands
+        # the pool its stdout as a raw FileIO).
+        line = encode_message({"v": PROTOCOL_VERSION, "id": 1, "ok": True, "pad": "x" * 140})
+        count = 100
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, line * count)  # fits the pipe buffer
+        os.close(write_fd)
+        pipe = _CountingPipe(read_fd, "rb")
+        transport = PipeTransport(_ExitedProcess(pipe))
+        assert [transport.readline() for _ in range(count)] == [line] * count
+        assert transport.readline() == b""
+        # A raw readline reads one byte per call: len(line) * count reads.
+        assert pipe.reads < count, pipe.reads
+        assert transport.wait_closed(1.0) is True
+        assert pipe.closed
+
+
 class TestWorkerListener:
     def test_rejects_wrong_secret_worker_subprocess(self, tmp_path):
         listener = WorkerListener("127.0.0.1:0", secret="right-secret")
@@ -437,6 +486,25 @@ class TestTcpWorkerPool:
             if process.poll() is None:
                 process.kill()
             process.wait(timeout=10)
+
+    def test_a_failed_start_can_start_again(self, tmp_path):
+        missing = str(tmp_path / "no-such-artifact")
+        pool = WorkerPool(
+            1,
+            listen="127.0.0.1:0",
+            secret="s3cret",
+            spawn_commands=[worker_connect_command(CONNECT_PLACEHOLDER, _secret_file(tmp_path))],
+            init_ops=[("load", {"artifacts": [missing]})],
+            register_timeout=30.0,
+        )
+        address = pool.listen_address
+        # Each start reaches the init op: the failed start closed the
+        # listener, and the next one binds its address again.
+        for _ in range(2):
+            with pytest.raises(RemoteError, match="no-such-artifact"):
+                pool.start()
+        assert pool.listen_address == address
+        assert pool.healthy_workers() == []
 
     def test_listen_requires_a_secret(self):
         with pytest.raises(ValueError, match="secret"):

@@ -201,7 +201,6 @@ class TestApplyDelta:
         clone = graph.apply_delta(GraphDelta(), validate=True)
         assert clone is not graph
         assert clone.fingerprint() == graph.fingerprint()
-        assert GraphDelta().is_empty
 
     def test_validation_errors(self):
         graph = build_graph(seed=8)

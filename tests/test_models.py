@@ -113,6 +113,24 @@ class TestTapeOffInference:
         assert np.array_equal(model.predict_logits(texas, cache), taped.numpy())
 
 
+def _parameters(model):
+    """Every state-dict entry's name, shape and bytes."""
+    return {key: (value.shape, value.tobytes()) for key, value in model.state_dict().items()}
+
+
+class TestConstruction:
+    def test_preprocess_never_modifies_the_model(self, texas):
+        """Every parameter exists from construction; preprocess adds, reshapes and redraws none."""
+        modified = []
+        for name in available_models():
+            model = create_model(name, texas, seed=0)
+            built = _parameters(model)
+            model.preprocess(texas)
+            if _parameters(model) != built:
+                modified.append(name)
+        assert modified == []
+
+
 class TestForwardShapes:
     @pytest.mark.parametrize("model_class", ALL_MODEL_CLASSES)
     def test_forward_produces_logits(self, model_class, heterophilous_graph):

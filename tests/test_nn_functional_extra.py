@@ -81,10 +81,3 @@ class TestLossEdgeCases:
     def test_cross_entropy_uniform_logits_equals_log_classes(self):
         loss = F.cross_entropy(Tensor(np.zeros((5, 3))), np.zeros(5, dtype=int))
         assert loss.item() == pytest.approx(np.log(3))
-
-    def test_binary_cross_entropy_masked(self):
-        logits = Tensor(np.array([8.0, -8.0, 0.0]))
-        targets = np.array([1.0, 0.0, 1.0])
-        full = F.binary_cross_entropy_with_logits(logits, targets)
-        masked = F.binary_cross_entropy_with_logits(logits, targets, mask=np.array([0, 1]))
-        assert masked.item() < full.item()

@@ -28,12 +28,6 @@ class TestInitializers:
         assert weights.shape == (100, 50)
         assert np.all(np.abs(weights) <= limit + 1e-12)
 
-    def test_kaiming_bounds(self):
-        rng = np.random.default_rng(0)
-        weights = init.kaiming_uniform((64, 32), rng)
-        limit = np.sqrt(6.0 / 64)
-        assert np.all(np.abs(weights) <= limit + 1e-12)
-
     def test_zeros_ones(self):
         assert np.all(init.zeros((3, 3)) == 0)
         assert np.all(init.ones((2,)) == 1)
@@ -88,6 +82,18 @@ class TestModuleInfrastructure:
         mlp = MLP(4, 8, 2, rng=np.random.default_rng(0))
         with pytest.raises(KeyError):
             mlp.load_state_dict({"nonexistent": np.zeros(3)})
+
+    def test_load_state_dict_rejects_wrong_shapes(self):
+        mlp = MLP(4, 8, 2, rng=np.random.default_rng(0))
+        before = mlp.state_dict()
+        state = dict(before)
+        state["linears.0.bias"] = before["linears.0.bias"] + 1.0
+        state["linears.1.weight"] = np.zeros((9, 2))
+        with pytest.raises(ValueError, match=r"linears\.1\.weight.*\(9, 2\).*\(8, 2\)"):
+            mlp.load_state_dict(state)
+        # Nothing loads: the arrays of the right shape are refused too.
+        for name, value in mlp.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
 
     def test_train_eval_toggles_submodules(self):
         mlp = MLP(4, 8, 2, rng=np.random.default_rng(0))
@@ -195,17 +201,6 @@ class TestLosses:
         assert logits.grad[0, 0] < 0
         assert logits.grad[1, 2] < 0
         assert logits.grad[0, 1] > 0
-
-    def test_binary_cross_entropy_with_logits(self):
-        logits = Tensor(np.array([10.0, -10.0]))
-        targets = np.array([1.0, 0.0])
-        loss = F.binary_cross_entropy_with_logits(logits, targets)
-        assert loss.item() < 1e-3
-
-    def test_l2_regularization(self):
-        params = [Parameter(np.ones(4)), Parameter(2 * np.ones(2))]
-        assert F.l2_regularization(params).item() == pytest.approx(4 + 8)
-        assert F.l2_regularization([]).item() == 0.0
 
 
 class TestOptimizers:

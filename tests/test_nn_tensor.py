@@ -109,11 +109,6 @@ class TestBasicOps:
         assert t.size == 12
         assert t.T.shape == (4, 3)
 
-    def test_detach_cuts_graph(self):
-        a = Tensor([1.0], requires_grad=True)
-        detached = (a * 2).detach()
-        assert not detached.requires_grad
-
     def test_item_requires_scalar(self):
         assert Tensor(3.5).item() == pytest.approx(3.5)
 

@@ -169,7 +169,7 @@ class TestArtifactRoundTrip:
 
         # The equality must come from the loaded weights, not from seeding:
         # an untrained twin disagrees with the trained logits.
-        fresh = artifact.build_model()
+        fresh = artifact.build_model(homophilous_graph)
         fresh_cache = fresh.preprocess(homophilous_graph)
         fresh.eval()
         assert not np.array_equal(trained_logits, fresh.forward(fresh_cache).numpy())
@@ -214,16 +214,38 @@ class TestArtifactRoundTrip:
     def test_restored_adpa_refuses_incompatible_operator_count(
         self, heterophilous_graph, tmp_path
     ):
-        model = create_model("ADPA", heterophilous_graph, seed=0, hidden=16)
+        model = create_model("ADPA", heterophilous_graph, seed=0, hidden=16, dp_attention="jk")
         Trainer(epochs=2, patience=2).fit(model, heterophilous_graph)
         save_model(model, tmp_path / "art", graph=heterophilous_graph)
         restored, _, _, _ = restore_model(tmp_path / "art")
-        assert restored.architecture_frozen
-        # A graph whose operator selection yields a different count must
-        # raise instead of silently rebuilding (and re-randomising) the
-        # restored attention modules.
-        with pytest.raises(RuntimeError, match="incompatible"):
-            restored._build_modules(num_operators=1)
+        trained = restored.state_dict()
+        # Weights of a 3-operator twin fit the first four projections but
+        # not the fusion over seven blocks: the load must refuse all of
+        # them instead of leaving a mix.
+        pruned = create_model(
+            "ADPA", heterophilous_graph, seed=1, hidden=16, dp_attention="jk", max_operators=3
+        )
+        with pytest.raises(ValueError, match="dp_attention.fuse.weight"):
+            restored.load_state_dict(pruned.state_dict())
+        for name, value in restored.state_dict().items():
+            assert value.tobytes() == trained[name].tobytes()
+
+    def test_restored_linkx_refuses_a_graph_of_another_size(self, tmp_path):
+        session = Session(train=TrainConfig(epochs=3, patience=3))
+        handle = session.load("texas").fit("LINKX", hidden=8)
+        handle.save(tmp_path / "art")
+        other = session.load("wisconsin").graph
+        assert other.num_nodes != handle.graph.num_nodes
+        # The encoder's stored shape does not fit a graph of another size.
+        with pytest.raises(ValueError, match="_adjacency_encoder.weight"):
+            restore_model(tmp_path / "art", other)
+        restored = Session().restore(tmp_path / "art")
+        trained = restored.model.state_dict()
+        with pytest.raises(ValueError, match=f"{other.num_nodes}"):
+            restored.predict(other)
+        for name, value in restored.model.state_dict().items():
+            assert value.tobytes() == trained[name].tobytes(), name
+        assert restored.predict_logits().tobytes() == handle.predict_logits().tobytes()
 
     def test_restore_without_graph_needs_explicit_one(self, homophilous_graph, tmp_path):
         model = create_model("MLP", homophilous_graph, seed=0)
@@ -281,10 +303,11 @@ class TestLegacyPipelineArtifacts:
 
 class TestPreprocessCachedContract:
     def test_preprocess_cached_uses_shared_cache(self, homophilous_graph):
-        cache = LRUCache(capacity=4)
+        cache = OperatorCache(capacity=4)
         model = create_model("GPRGNN", homophilous_graph, seed=0)
-        first = model.preprocess_cached(homophilous_graph, cache)
-        second = model.preprocess_cached(homophilous_graph, cache)
+        twin = create_model("GPRGNN", homophilous_graph, seed=0)
+        first = cache.preprocess(model, homophilous_graph)
+        second = cache.preprocess(twin, homophilous_graph)
         assert first is second
         assert cache.stats().misses == 1
 
